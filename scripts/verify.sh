@@ -21,8 +21,7 @@
 #      under ASan+UBSan (DESIGN.md §13);
 #   3d. sanitized lockstep training: the threaded batched-epoch
 #      equivalence suites (losses and final weights bitwise-identical
-#      across thread counts, batch-op toggles both ways) under
-#      ASan+UBSan (DESIGN.md §14);
+#      across thread counts) under ASan+UBSan (DESIGN.md §14);
 #   4. scalar fallback: LIGER_NATIVE_SIMD=OFF build (build-scalar) +
 #      full ctest, so the portable kernels stay green alongside the
 #      AVX2 ones;
@@ -32,9 +31,10 @@
 #      checked here);
 #   6. trace pipeline bench in smoke mode (off/cold/warm determinism
 #      checks at a tiny scale; exits non-zero on any mismatch);
-#   6b. epoch-throughput bench in smoke mode: per-sample, batched, and
-#      batched-threaded modes at a tiny scale; exits non-zero if the
-#      batched losses diverge across thread counts;
+#   6b. epoch-throughput bench in smoke mode: per-sample,
+#      per-sample-threaded, batched, and batched-threaded modes at a
+#      tiny scale; exits non-zero if either family's losses diverge
+#      across thread counts;
 #   7. serve smoke on the SIMD build: liger_serve --smoke starts the
 #      engine, answers a burst including hostile and deadline-starved
 #      methods, and shuts down cleanly.
@@ -43,6 +43,9 @@
 # cache ($BUILD/verify-trace-cache, wiped once up front) — the same
 # concurrent-reader contract the figure benches rely on (DESIGN.md
 # §13.3).
+#
+# Every filtered gtest run fails when any pattern of its filter selects
+# no test, so a renamed suite cannot pass by running nothing.
 #
 # Invoke directly or via `cmake --build build --target liger_verify`.
 #
@@ -58,6 +61,23 @@ rm -rf "$CACHE"
 
 step() { printf '\n=== verify: %s ===\n' "$*"; }
 
+# filtered BINARY FILTER: runs the gtest BINARY with --gtest_filter=FILTER
+# after checking that each ':'-separated pattern of FILTER selects at
+# least one test.
+filtered() {
+  local Bin="$1" Filter="$2" Pattern Listed
+  local -a Patterns
+  IFS=: read -ra Patterns <<<"$Filter"
+  for Pattern in "${Patterns[@]}"; do
+    Listed="$("$Bin" --gtest_list_tests --gtest_filter="$Pattern")"
+    if ! grep -q '^  ' <<<"$Listed"; then
+      echo "verify: '$Pattern' selects no test in $Bin" >&2
+      return 1
+    fi
+  done
+  "$Bin" --gtest_filter="$Filter"
+}
+
 step "tier-1 build + ctest ($BUILD)"
 cmake -B "$BUILD" -S "$REPO"
 cmake --build "$BUILD" -j "$JOBS"
@@ -68,18 +88,18 @@ cmake -B "$REPO/build-asan" -S "$REPO" -DLIGER_SANITIZE=ON
 cmake --build "$REPO/build-asan" -j "$JOBS" \
   --target nn_tests testgen_tests dataset_tests interp_tests lang_tests \
            eval_tests serve_tests liger_fuzz liger_serve
-"$REPO/build-asan/tests/nn_tests" \
-  --gtest_filter='GradCheckTest.*:GraphArenaTest.*:GradSinkTest.*:CheckpointTest.*:ParamStoreTest.*:FusedEquivalenceTest.*:AttentionEquivalenceTest.*:BatchedKernelEquivalenceTest.*'
+filtered "$REPO/build-asan/tests/nn_tests" \
+  'GradCheckTest.*:GraphArenaTest.*:GradSinkTest.*:CheckpointTest.*:ParamStoreTest.*:FusedEquivalenceTest.*:AttentionEquivalenceTest.*:BatchedKernelEquivalenceTest.*'
 
 step "sanitized trace cache + parallel corpus (build-asan)"
-"$REPO/build-asan/tests/testgen_tests" --gtest_filter='TraceCacheTest.*'
-"$REPO/build-asan/tests/dataset_tests" \
-  --gtest_filter='CorpusParallelEquivalenceTest.*:CorpusTraceCacheTest.*'
+filtered "$REPO/build-asan/tests/testgen_tests" 'TraceCacheTest.*'
+filtered "$REPO/build-asan/tests/dataset_tests" \
+  'CorpusParallelEquivalenceTest.*:CorpusTraceCacheTest.*'
 
 step "sanitized hardening: depth/memory budgets + fuzz smoke (build-asan)"
-"$REPO/build-asan/tests/interp_tests" --gtest_filter='InterpHardeningTest.*'
-"$REPO/build-asan/tests/lang_tests" \
-  --gtest_filter='ParserDepthTest.*:LexerHardeningTest.*'
+filtered "$REPO/build-asan/tests/interp_tests" 'InterpHardeningTest.*'
+filtered "$REPO/build-asan/tests/lang_tests" \
+  'ParserDepthTest.*:LexerHardeningTest.*'
 "$REPO/build-asan/tools/liger_fuzz" --smoke --replay "$REPO/tests/fuzz-corpus"
 
 step "sanitized serving: inference equivalence + shared cache + serve smoke (build-asan)"
@@ -87,8 +107,8 @@ step "sanitized serving: inference equivalence + shared cache + serve smoke (bui
 "$REPO/build-asan/tools/liger_serve" --smoke --trace-cache-dir="$CACHE"
 
 step "sanitized lockstep training: threaded batched-epoch equivalence (build-asan)"
-"$REPO/build-asan/tests/eval_tests" \
-  --gtest_filter='TrainingIntegrationTest.LockstepThreadedEpochIsBitwise:TrainingIntegrationTest.ParallelEpochMatchesSerialBitwise'
+filtered "$REPO/build-asan/tests/eval_tests" \
+  'TrainingIntegrationTest.LockstepThreadedEpochIsBitwise:TrainingIntegrationTest.ParallelEpochMatchesSerialBitwise'
 
 step "scalar fallback build + ctest (build-scalar, LIGER_NATIVE_SIMD=OFF)"
 cmake -B "$REPO/build-scalar" -S "$REPO" -DLIGER_NATIVE_SIMD=OFF
@@ -109,11 +129,11 @@ step "trace pipeline bench (smoke)"
 (cd "$BUILD" && ./bench/pipeline_throughput --methods=6 \
    --trace-cache-dir="$CACHE")
 
-step "epoch throughput bench (smoke: per-sample / batched / batched-threaded)"
+step "epoch throughput bench (smoke: per-sample and batched, serial and threaded)"
 # Also run from inside the build tree so the smoke-scale
 # BENCH_epoch.json does not clobber the checked-in full-scale result.
-# Exits non-zero if the batched and batched-threaded final losses are
-# not bitwise-identical.
+# Exits non-zero if the serial and threaded final losses of either
+# family are not bitwise-identical.
 (cd "$BUILD" && ./bench/epoch_throughput --smoke)
 
 step "serve smoke (SIMD build, shared verify cache)"

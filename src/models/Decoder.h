@@ -48,10 +48,11 @@ public:
   /// batching scheduler (lockstepSchedule) groups the samples still
   /// active at each timestep into one batched cell step, so
   /// same-timestep samples share a matmul. Per-sample loss values are
-  /// bitwise-identical to loss() on each sample; the graph is always
-  /// built timestep-major, so flipping batchedCellsEnabled() only
-  /// swaps the batch op's internals (BatchedLossEquivalenceTest pins
-  /// both). Returns each sample's mean loss.
+  /// bitwise-identical to loss() on each sample; the graph is built
+  /// timestep-major, and its losses, gradients and post-Adam parameters
+  /// are bitwise-identical to the same walk through per-lane ops
+  /// (BatchedLossEquivalenceTest pins both). Returns each sample's mean
+  /// loss.
   std::vector<Var>
   lossBatch(const std::vector<Var> &ProgramEmbeddings,
             const std::vector<std::vector<Var>> &Memories,

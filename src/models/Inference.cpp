@@ -158,15 +158,6 @@ void LigerInference::bind(const WeightImage &Image) {
   Version = Image.version();
 }
 
-void LigerInference::rebind(const WeightImage &Image) {
-  Digest128 Old = Version;
-  bind(Image);
-  if (Version != Old) {
-    StmtCache.clear();
-    StateCache.clear();
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Primitive module forwards
 //===----------------------------------------------------------------------===//

@@ -22,9 +22,8 @@
 /// statement/state embedding caches of the training path become
 /// persistent, parameter-versioned caches here: statements are keyed
 /// by their serialized head tree (Stmt pointers do not survive
-/// re-parsing), states by the same token-signature key the training
-/// cache uses, and both are cleared whenever rebind() installs an
-/// image with a different content digest (DESIGN.md §13).
+/// re-parsing) and states by the same token-signature key the training
+/// cache uses (DESIGN.md §13).
 ///
 /// An engine is single-threaded; serving spawns one per worker. It
 /// borrows the WeightImage and vocabularies, which must outlive it.
@@ -96,11 +95,6 @@ public:
   /// LigerClassifier::predict); only for images with "liger.head".
   int predictClass(const MethodTraces &Traces);
   bool hasClassifierHead() const { return Head.W != nullptr; }
-
-  /// Re-binds against \p Image (same architecture). The embedding
-  /// caches survive when the content digest matches and are dropped
-  /// otherwise — they key computations by parameter version.
-  void rebind(const WeightImage &Image);
 
   const Digest128 &paramVersion() const { return Version; }
   const CacheStats &cacheStats() const { return Stats; }

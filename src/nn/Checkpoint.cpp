@@ -10,7 +10,6 @@
 
 #include <cstdio>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace liger;
 
@@ -124,24 +123,15 @@ void writeTrainerSection(BinaryWriter &W, const ParamStore &Store,
   }
 }
 
-/// Where one parameter tensor of the file lands in the store: either a
-/// whole parameter or (for checkpoints written before gate weights
-/// were packed) a legacy-view region of one. Recorded in file order —
-/// the optimizer and best-snapshot blob lists carry no names of their
-/// own and follow the parameter section's tensor order.
-struct FileEntry {
-  size_t Param = 0;  ///< Index into ParamStore::params().
-  size_t Offset = 0; ///< Flat element offset inside that parameter.
-  size_t Count = 0;  ///< Element count.
-};
-
 /// Reads a list of raw tensor blobs laid out like the parameter
-/// section's entries. Shapes and offsets are dictated by the store's
-/// resolution of the parameter section (never by the file — corrupt
-/// counts cannot over-allocate); \p Out gets one full-shaped tensor
-/// per store parameter, assembled from the entry regions.
+/// section's entries. \p Entries holds the store parameter index of
+/// each parameter-section tensor in file order — the optimizer and
+/// best-snapshot blob lists carry no names of their own and follow
+/// that order. Shapes are dictated by the store (never by the file —
+/// corrupt counts cannot over-allocate); \p Out gets one full-shaped
+/// tensor per store parameter.
 bool readTensorBlobList(BinaryReader &R, const ParamStore &Store,
-                        const std::vector<FileEntry> &Entries,
+                        const std::vector<size_t> &Entries,
                         std::vector<Tensor> &Out, const char *What,
                         std::string *Error) {
   uint64_t Count = 0;
@@ -155,8 +145,8 @@ bool readTensorBlobList(BinaryReader &R, const ParamStore &Store,
   Out.reserve(Store.params().size());
   for (const Var &P : Store.params())
     Out.push_back(Tensor::zerosLike(P->Value));
-  for (const FileEntry &E : Entries) {
-    if (!R.readFloats(Out[E.Param].data() + E.Offset, E.Count)) {
+  for (size_t P : Entries) {
+    if (!R.readFloats(Out[P].data(), Out[P].size())) {
       setError(Error, std::string("checkpoint truncated inside ") + What +
                           " block");
       return false;
@@ -226,50 +216,16 @@ bool liger::loadCheckpoint(const std::string &Path, ParamStore &Params,
   if (NumSections > MaxSections)
     return Fail("implausible section count " + std::to_string(NumSections));
 
-  // Resolve names against the store: every current parameter name plus
-  // every registered legacy view (checkpoints from before gate-weight
-  // packing). The file never dictates a size or destination the store
-  // did not declare.
-  std::unordered_map<std::string, FileEntry> Resolver;
-  for (size_t I = 0; I < Params.params().size(); ++I) {
-    FileEntry E;
-    E.Param = I;
-    E.Offset = 0;
-    E.Count = Params.params()[I]->Value.size();
-    Resolver.emplace(Params.names()[I], E);
-  }
-  std::unordered_map<const Node *, size_t> ParamIndexOf;
+  // Resolve names against the store. The file never dictates a size or
+  // destination the store did not declare.
+  std::unordered_map<std::string, size_t> Resolver;
   for (size_t I = 0; I < Params.params().size(); ++I)
-    ParamIndexOf.emplace(Params.params()[I], I);
-  for (const auto &[Name, View] : Params.legacyViews()) {
-    FileEntry E;
-    E.Param = ParamIndexOf.at(View.Param);
-    E.Offset = View.Offset;
-    E.Count = 1;
-    for (size_t D : View.Dims)
-      E.Count *= D;
-    Resolver.emplace(Name, E);
-  }
-  auto expectedDims = [&](const std::string &Name,
-                          const FileEntry &E) -> std::vector<size_t> {
-    const Tensor &T = Params.params()[E.Param]->Value;
-    if (E.Offset == 0 && E.Count == T.size() &&
-        Params.names()[E.Param] == Name) {
-      std::vector<size_t> Dims;
-      for (size_t D = 0; D < T.rank(); ++D)
-        Dims.push_back(T.dim(D));
-      return Dims;
-    }
-    for (const auto &[ViewName, View] : Params.legacyViews())
-      if (ViewName == Name)
-        return View.Dims;
-    return {};
-  };
+    Resolver.emplace(Params.names()[I], I);
 
   // Stage everything; nothing caller-visible mutates until the whole
   // file has validated.
   std::vector<Tensor> StagedParams;
-  std::vector<FileEntry> Entries; ///< Parameter-section tensors, file order.
+  std::vector<size_t> Entries; ///< Parameter-section tensors, file order.
   uint64_t StagedStep = 0;
   std::vector<Tensor> StagedM, StagedV;
   TrainerState StagedTrainer;
@@ -287,54 +243,48 @@ bool liger::loadCheckpoint(const std::string &Path, ParamStore &Params,
 
     if (Tag == TagParams) {
       uint64_t Count = 0;
-      uint64_t MaxEntries =
-          Params.params().size() + Params.legacyViews().size();
-      if (!R.readU64(Count) || Count > MaxEntries)
+      if (!R.readU64(Count) || Count > Params.params().size())
         return Fail("checkpoint holds " + std::to_string(Count) +
-                    " parameter tensors, store can resolve at most " +
-                    std::to_string(MaxEntries));
+                    " parameter tensors, store has " +
+                    std::to_string(Params.params().size()));
       StagedParams.clear();
       StagedParams.reserve(Params.params().size());
       for (const Var &P : Params.params())
         StagedParams.push_back(Tensor::zerosLike(P->Value));
       Entries.clear();
       Entries.reserve(Count);
-      std::vector<size_t> Covered(Params.params().size(), 0);
-      std::unordered_set<std::string> Seen;
+      std::vector<bool> Covered(Params.params().size(), false);
       for (uint64_t I = 0; I < Count; ++I) {
         std::string Name;
         if (!R.readString(Name, MaxNameLen))
           return Fail("checkpoint truncated in a parameter name");
-        if (!Seen.insert(Name).second)
-          return Fail("parameter '" + Name + "' appears twice");
         auto It = Resolver.find(Name);
         if (It == Resolver.end())
           return Fail("checkpoint parameter '" + Name +
-                      "' does not match any store parameter or legacy name");
-        const FileEntry &E = It->second;
-        std::vector<size_t> Expect = expectedDims(Name, E);
+                      "' does not match any store parameter");
+        size_t P = It->second;
+        if (Covered[P])
+          return Fail("parameter '" + Name + "' appears twice");
+        const Tensor &Expect = Params.params()[P]->Value;
         uint64_t Rank = 0;
-        if (!R.readU64(Rank) || Rank != Expect.size())
+        if (!R.readU64(Rank) || Rank != Expect.rank())
           return Fail("parameter '" + Name + "' has rank " +
                       std::to_string(Rank) + ", store expects " +
-                      std::to_string(Expect.size()));
-        for (size_t Dim : Expect) {
-          uint64_t D = 0;
-          if (!R.readU64(D) || D != Dim)
+                      std::to_string(Expect.rank()));
+        for (size_t D = 0; D < Expect.rank(); ++D) {
+          uint64_t Dim = 0;
+          if (!R.readU64(Dim) || Dim != Expect.dim(D))
             return Fail("parameter '" + Name + "' shape mismatch");
         }
-        if (!R.readFloats(StagedParams[E.Param].data() + E.Offset, E.Count))
+        if (!R.readFloats(StagedParams[P].data(), StagedParams[P].size()))
           return Fail("checkpoint truncated in parameter '" + Name + "'");
-        Covered[E.Param] += E.Count;
-        Entries.push_back(E);
+        Covered[P] = true;
+        Entries.push_back(P);
       }
       for (size_t I = 0; I < Params.params().size(); ++I)
-        if (Covered[I] != Params.params()[I]->Value.size())
+        if (!Covered[I])
           return Fail("parameter '" + Params.names()[I] +
-                      "' is not fully covered by the checkpoint (" +
-                      std::to_string(Covered[I]) + " of " +
-                      std::to_string(Params.params()[I]->Value.size()) +
-                      " elements)");
+                      "' is missing from the checkpoint");
       SawParams = true;
     } else if (Tag == TagAdam && Opt) {
       if (!SawParams)
@@ -349,9 +299,9 @@ bool liger::loadCheckpoint(const std::string &Path, ParamStore &Params,
         StagedM.push_back(Tensor::zerosLike(P->Value));
         StagedV.push_back(Tensor::zerosLike(P->Value));
       }
-      for (const FileEntry &E : Entries) {
-        if (!R.readFloats(StagedM[E.Param].data() + E.Offset, E.Count) ||
-            !R.readFloats(StagedV[E.Param].data() + E.Offset, E.Count))
+      for (size_t P : Entries) {
+        if (!R.readFloats(StagedM[P].data(), StagedM[P].size()) ||
+            !R.readFloats(StagedV[P].data(), StagedV[P].size()))
           return Fail("checkpoint truncated in the optimizer block");
       }
       SawAdam = true;

@@ -1349,8 +1349,8 @@ CellOut liger::treeLstmNodeOp(const Var &Wx, const Var &Bx, const Var &Wh,
 // 1-2-nodes-per-step discipline as the fused cells above.
 //
 // Both backwards replay the unfused reference graph (colsView / matvec
-// / add / tanhV / stackScalars / softmax / weightedCombine, see
-// AttentionScorer's reference path in Module.cpp) node by node in
+// / add / tanhV / stackScalars / softmax / weightedCombine, see the
+// attention reference graph in tests/oracle) node by node in
 // descending creation order through the same kernels, so losses and
 // gradients are bitwise-identical to the per-pair path
 // (AttentionEquivalenceTest pins this). The W1 halves are addressed as

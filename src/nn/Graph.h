@@ -151,13 +151,14 @@ Var meanLoss(const std::vector<Var> &Losses);
 
 /// Rows [Row0, Row0 + Rows) of matrix \p M as a matrix view (a copy;
 /// backward scatters into that row range). With sliceView, this is how
-/// the legacy per-gate reference paths address packed gate weights.
+/// the per-gate reference graphs of the test oracle address packed
+/// gate weights.
 Var rowsView(const Var &M, size_t Row0, size_t Rows);
 /// Entries [Off, Off + Count) of vector \p V as a vector.
 Var sliceView(const Var &V, size_t Off, size_t Count);
 /// Columns [Col0, Col0 + Cols) of matrix \p M as a matrix (a copy;
 /// backward scatters row-by-row into that column band). This is how the
-/// attention score MLP's reference path addresses the key-side and
+/// attention score MLP's reference graph addresses the key-side and
 /// query-side halves of its packed [Hidden x (KeyDim+QueryDim)] first
 /// layer without splitting the stored parameter.
 Var colsView(const Var &M, size_t Col0, size_t Cols);
@@ -176,7 +177,8 @@ struct CellOut {
 /// with packed parameters Wx [3H x In], bx [3H], Wh [3H x H] (gate
 /// order z, r, n). The single backward closure emits every parameter
 /// and input gradient, replacing the ~16 nodes of the per-gate graph.
-/// Bitwise-identical to the RecurrentCell::stepUnfused reference path.
+/// Bitwise-identical to the per-gate reference graph of the test
+/// oracle (tests/oracle).
 Var gruCellOp(const Var &Wx, const Var &Bx, const Var &Wh, const Var &X,
               const Var &HPrev);
 

@@ -43,27 +43,6 @@ class ParamStore {
 public:
   Var addParam(const std::string &Name, Tensor Init);
 
-  /// A named alias for a contiguous region of an existing parameter.
-  /// Checkpoints written before gate weights were packed store per-gate
-  /// tensors ("gru.Wz.W", "gru.Uz", ...); the loader resolves such
-  /// names through this registry and copies the payload into the
-  /// parameter at \p Offset. Dims describe the legacy tensor's shape.
-  struct LegacyView {
-    Var Param = nullptr;
-    size_t Offset = 0;
-    std::vector<size_t> Dims;
-  };
-
-  /// Registers \p Name as a legacy alias of \p Param's elements
-  /// [Offset, Offset + product(Dims)).
-  void addLegacyView(const std::string &Name, const Var &Param, size_t Offset,
-                     std::vector<size_t> Dims);
-
-  /// Legacy-name -> view registry (checkpoint migration).
-  const std::vector<std::pair<std::string, LegacyView>> &legacyViews() const {
-    return Views;
-  }
-
   const std::vector<Var> &params() const { return Params; }
   const std::vector<std::string> &names() const { return Names; }
 
@@ -100,41 +79,7 @@ private:
   std::deque<Node> Storage; ///< Owns the nodes; deque keeps addresses stable.
   std::vector<Var> Params;
   std::vector<std::string> Names;
-  std::vector<std::pair<std::string, LegacyView>> Views;
 };
-
-/// Whether recurrent cells route through the fused single-node graph
-/// ops (the default) or the per-gate reference graphs. The two paths
-/// are bitwise-identical (FusedEquivalenceTest); the toggle exists for
-/// A/B testing and the equivalence suite itself.
-bool fusedCellsEnabled();
-void setFusedCellsEnabled(bool Enabled);
-
-/// Whether stepBatch() stacks same-timestep samples into the matmul-
-/// backed batch cell ops (the default) or loops the per-sample fused
-/// step(). Bitwise-identical paths (BatchedKernelEquivalenceTest); the
-/// toggle exists for A/B benchmarks and the equivalence suite.
-bool batchedCellsEnabled();
-void setBatchedCellsEnabled(bool Enabled);
-
-/// Whether Linear::softmaxCrossEntropyBatch() routes through the
-/// single batched loss-head node (the default) or loops the per-lane
-/// apply() + softmaxCrossEntropy() reference chain. Bitwise-identical
-/// paths (BatchedKernelEquivalenceTest); the toggle exists for A/B
-/// benchmarks and the equivalence suite.
-bool batchedLossHeadEnabled();
-void setBatchedLossHeadEnabled(bool Enabled);
-
-/// Whether LigerEncoder::encodeBatch() shares one state-embedding
-/// cache across every sample in the mini-batch (the default) or keeps
-/// the per-sample caches. Embeddings are value-deterministic functions
-/// of the injective state key, so per-sample loss values are
-/// bitwise-identical either way; gradient flow through a shared
-/// embedding merges where per-sample caches would duplicate it, which
-/// is observable only through the (already order-sensitive) batched
-/// gradient accumulation.
-bool crossSampleStateCacheEnabled();
-void setCrossSampleStateCacheEnabled(bool Enabled);
 
 /// Fully connected layer: y = W x + b.
 class Linear {
@@ -147,9 +92,9 @@ public:
 
   /// Softmax cross-entropy losses of this layer's logits over a block
   /// of B lockstep lanes: one batched loss-head node (matmul logits +
-  /// fused descending-lane backward) when batchedLossHeadEnabled(),
-  /// else the per-lane apply() + softmaxCrossEntropy() loop. The two
-  /// paths are bitwise-identical (BatchedKernelEquivalenceTest).
+  /// fused descending-lane backward), or softmaxCrossEntropy(apply())
+  /// for a single lane. Bitwise-identical to the per-lane chain
+  /// (BatchedKernelEquivalenceTest).
   std::vector<Var> softmaxCrossEntropyBatch(const std::vector<Var> &Xs,
                                             const std::vector<size_t> &Targets)
       const;
@@ -200,10 +145,9 @@ public:
   /// One time step for B concurrently-advancing sequences: stacks the
   /// inputs/states into one matmul-backed batch op per packed gate
   /// block (gruCellBatchOp/lstmCellBatchOp) and hands back per-sample
-  /// row views. Falls back to a per-sample step() loop for Rnn cells,
-  /// B == 1, or when batchedCellsEnabled()/fusedCellsEnabled() is off;
-  /// either way results are bitwise-identical to calling step() on
-  /// each sample in order.
+  /// row views. Falls back to a per-sample step() loop for Rnn cells
+  /// and B == 1; either way results are bitwise-identical to calling
+  /// step() on each sample in order.
   std::vector<RecState> stepBatch(const std::vector<Var> &Xs,
                                   const std::vector<RecState> &Prev) const;
 
@@ -214,12 +158,6 @@ public:
   size_t hiddenDim() const { return Hidden; }
   CellKind kind() const { return Kind; }
 
-  /// Per-gate reference implementation of step(): builds the packed
-  /// parameters' gate blocks as explicit view nodes and composes the
-  /// legacy one-op-per-node graph. Bitwise-identical to the fused
-  /// step(); kept as the equivalence/gradcheck oracle.
-  RecState stepUnfused(const Var &X, const RecState &Prev) const;
-
 private:
   CellKind Kind = CellKind::Gru;
   size_t In = 0;
@@ -228,8 +166,7 @@ private:
   Linear L1;
   Var U1 = nullptr;
   // Gru/Lstm store gate weights packed: PWx [K*H x In], PBx [K*H],
-  // PWh [K*H x H] with K = 3 (z, r, n) or 4 (i, f, g, o). Legacy
-  // per-gate names are registered as checkpoint views.
+  // PWh [K*H x H] with K = 3 (z, r, n) or 4 (i, f, g, o).
   Var PWx = nullptr, PBx = nullptr, PWh = nullptr;
 };
 
@@ -248,18 +185,11 @@ public:
 
   size_t hiddenDim() const { return Hidden; }
 
-  /// Per-gate reference embedding (see RecurrentCell::stepUnfused).
-  Var embedUnfused(const AstTree &Tree,
-                   const std::function<Var(const std::string &)> &Embed) const;
-
 private:
   struct NodeState {
     Var H = nullptr, C = nullptr;
   };
   NodeState embedNode(
-      const AstTree &Tree,
-      const std::function<Var(const std::string &)> &Embed) const;
-  NodeState embedNodeUnfused(
       const AstTree &Tree,
       const std::function<Var(const std::string &)> &Embed) const;
 
@@ -288,19 +218,6 @@ private:
   Var Table = nullptr;
 };
 
-/// Whether attention routes through the fused attentionKeyProj /
-/// attentionOp graph nodes (the default) or the per-pair reference
-/// graph. Bitwise-identical paths (AttentionEquivalenceTest); the
-/// toggle exists for A/B benchmarks and the equivalence suite.
-bool fusedAttentionEnabled();
-void setFusedAttentionEnabled(bool Enabled);
-
-/// Whether contextOfMulti() scores its query block through the single
-/// multi-query attention node (the default) or loops per-query
-/// contextOf(). Bitwise-identical paths (BatchedKernelEquivalenceTest).
-bool batchedAttentionEnabled();
-void setBatchedAttentionEnabled(bool Enabled);
-
 /// Bahdanau-style additive attention scorer: score(q, k) =
 /// v · tanh(W1 [k ⊕ q] + b1) — the paper's a1 (fusion) and a2
 /// (decoder) networks. The first layer stays stored as one packed
@@ -316,14 +233,10 @@ public:
 
   /// Per-decode attention memory: the keys plus their cached key-side
   /// first-layer projections. Build once per memory with prepare(),
-  /// reuse across every decoder step. Whether the fused or reference
-  /// graph form is held is latched from fusedAttentionEnabled() at
-  /// prepare() time.
+  /// reuse across every decoder step.
   struct Memory {
     std::vector<Var> Keys;
-    Var KeyProj = nullptr;             ///< Fused [T x Hidden] node.
-    std::vector<Var> KeyProjRows;      ///< Reference per-key nodes.
-    bool Fused = true;
+    Var KeyProj = nullptr; ///< [T x Hidden] key-projection node.
   };
 
   /// One attention step's outputs: the context node plus a read-only
@@ -340,55 +253,31 @@ public:
   Memory prepare(const std::vector<Var> &Keys) const;
 
   /// Attended context for one query over a prepared memory: softmax of
-  /// all scores, then the weighted key sum — one fused graph node (or
-  /// the reference chain when the memory was prepared unfused).
+  /// all scores, then the weighted key sum — one fused graph node.
   Result contextOf(const Var &Query, const Memory &Mem) const;
 
   /// Attended contexts for a block of queries over one shared prepared
   /// memory: a single multi-query node amortizes the key-memory walk
-  /// (decoder hypothesis sets, same-timestep batched decodes). Falls
-  /// back to a per-query contextOf() loop for a single query, an
-  /// unfused memory, or when batchedAttentionEnabled() is off; either
-  /// way results are bitwise-identical to per-query contextOf() calls
-  /// in order.
+  /// (decoder hypothesis sets, same-timestep batched decodes). A single
+  /// query takes contextOf(); either way results are bitwise-identical
+  /// to per-query contextOf() calls in order.
   std::vector<Result> contextOfMulti(const std::vector<Var> &Queries,
                                      const Memory &Mem) const;
 
   /// Attended contexts for a block of queries, each over its OWN
   /// prepared memory — the lockstep decoder's per-lane attention reads
   /// over distinct sample memories. One multi-memory node batches the
-  /// query-side projection across lanes; falls back to a per-query
-  /// contextOf() loop for a single query, any unfused memory, or when
-  /// batchedAttentionEnabled() is off. Either way results are
-  /// bitwise-identical to per-query contextOf() calls in order.
+  /// query-side projection across lanes; a single query takes
+  /// contextOf(). Either way results are bitwise-identical to
+  /// per-query contextOf() calls in order.
   std::vector<Result>
   contextOfMultiMemory(const std::vector<Var> &Queries,
                        const std::vector<const Memory *> &Mems) const;
-
-  /// All T pre-softmax scores of \p Query against \p Keys as one [T]
-  /// node, sharing the key projections across scores (reference graph
-  /// form; differentiable).
-  Var scoreAll(const Var &Query, const std::vector<Var> &Keys) const;
-
-  /// Scalar score node for one (query, key) pair. Kept as the unfused
-  /// reference the equivalence suite checks the batched path against.
-  Var scoreUnfused(const Var &Query, const Var &Key) const;
-
-  /// Alias of scoreUnfused (legacy call sites).
-  Var score(const Var &Query, const Var &Key) const;
-
-  /// Softmax-normalized weights for one query over many keys.
-  Var weights(const Var &Query, const std::vector<Var> &Keys) const;
 
   size_t queryDim() const { return QueryDim; }
   size_t keyDim() const { return KeyDim; }
 
 private:
-  /// Shared tail of scoreAll/contextOf: the query-side matvec plus the
-  /// per-key tanh → second-layer chains over prepared projections.
-  Var scoreAllRows(const Var &Query,
-                   const std::vector<Var> &KeyProjRows) const;
-
   size_t QueryDim = 0, KeyDim = 0, Hidden = 0;
   // Packed score MLP, same names/shapes/init draws as the Mlp this
   // class used to wrap: W1 [Hidden x (KeyDim+QueryDim)], B1 [Hidden],

@@ -310,9 +310,7 @@ TEST(TrainingIntegrationTest, LockstepThreadedEpochIsBitwise) {
   // The shard partition depends only on the batch size (never on the
   // thread count) and shard sinks are reduced in shard order on the
   // calling thread, so losses and final weights must be
-  // bitwise-identical at any --threads — with the batched op
-  // internals (cells, attention, loss head, cross-sample state cache)
-  // toggled either way.
+  // bitwise-identical at any --threads.
   ExperimentScale Scale;
   Scale.MethodsMed = 30;
   Scale.Epochs = 2;
@@ -326,17 +324,8 @@ TEST(TrainingIntegrationTest, LockstepThreadedEpochIsBitwise) {
   NameTask Task = buildNameTask(Scale, false);
   ASSERT_GE(Task.Split.Train.size(), 10u);
 
-  auto RunWith = [&](size_t Threads, bool BatchedOps,
+  auto RunWith = [&](size_t Threads,
                      std::vector<std::vector<float>> &ParamsOut) {
-    bool PrevCells = batchedCellsEnabled();
-    bool PrevAttn = batchedAttentionEnabled();
-    bool PrevHead = batchedLossHeadEnabled();
-    bool PrevShared = crossSampleStateCacheEnabled();
-    setBatchedCellsEnabled(BatchedOps);
-    setBatchedAttentionEnabled(BatchedOps);
-    setBatchedLossHeadEnabled(BatchedOps);
-    setCrossSampleStateCacheEnabled(BatchedOps);
-
     LigerConfig Config;
     Config.EmbedDim = Scale.EmbedDim;
     Config.Hidden = Scale.Hidden;
@@ -358,29 +347,20 @@ TEST(TrainingIntegrationTest, LockstepThreadedEpochIsBitwise) {
     for (const Var &P : Net.params().params())
       ParamsOut.emplace_back(P->Value.data(),
                              P->Value.data() + P->Value.size());
-
-    setBatchedCellsEnabled(PrevCells);
-    setBatchedAttentionEnabled(PrevAttn);
-    setBatchedLossHeadEnabled(PrevHead);
-    setCrossSampleStateCacheEnabled(PrevShared);
     return Result.FinalTrainLoss;
   };
 
-  for (bool BatchedOps : {true, false}) {
-    std::vector<std::vector<float>> P1, P2, P4;
-    double L1 = RunWith(1, BatchedOps, P1);
-    double L2 = RunWith(2, BatchedOps, P2);
-    double L4 = RunWith(4, BatchedOps, P4);
-    EXPECT_EQ(L1, L2) << "batchedOps=" << BatchedOps;
-    EXPECT_EQ(L1, L4) << "batchedOps=" << BatchedOps;
-    ASSERT_EQ(P1.size(), P2.size());
-    ASSERT_EQ(P1.size(), P4.size());
-    for (size_t I = 0; I < P1.size(); ++I) {
-      EXPECT_EQ(P1[I], P2[I])
-          << "parameter " << I << " batchedOps=" << BatchedOps;
-      EXPECT_EQ(P1[I], P4[I])
-          << "parameter " << I << " batchedOps=" << BatchedOps;
-    }
+  std::vector<std::vector<float>> P1, P2, P4;
+  double L1 = RunWith(1, P1);
+  double L2 = RunWith(2, P2);
+  double L4 = RunWith(4, P4);
+  EXPECT_EQ(L1, L2);
+  EXPECT_EQ(L1, L4);
+  ASSERT_EQ(P1.size(), P2.size());
+  ASSERT_EQ(P1.size(), P4.size());
+  for (size_t I = 0; I < P1.size(); ++I) {
+    EXPECT_EQ(P1[I], P2[I]) << "parameter " << I;
+    EXPECT_EQ(P1[I], P4[I]) << "parameter " << I;
   }
 }
 

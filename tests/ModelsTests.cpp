@@ -6,6 +6,7 @@
 
 #include "models/Code2Seq.h"
 #include "models/Code2Vec.h"
+#include "models/Common.h"
 #include "models/Decoder.h"
 #include "models/Dypro.h"
 #include "models/Liger.h"
@@ -18,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
+#include <unordered_map>
 
 using namespace liger;
 
@@ -195,39 +198,6 @@ TEST(LigerTest, FusionStatsAreSensible) {
   EXPECT_GT(Stats.FusionSteps, 0u);
   EXPECT_GE(Stats.staticMean(), 0.0);
   EXPECT_LE(Stats.staticMean(), 1.0);
-}
-
-TEST(LigerTest, FusedAttentionTrainingStepIsBitwise) {
-  // End-to-end check that the fused attention path (both the encoder
-  // fusion site A1 and the cached decoder memory) is bitwise identical
-  // to the per-pair reference graph through loss, gradients, and one
-  // Adam step.
-  auto Samples = tinyCorpus();
-  TinyVocabs V = buildVocabs(Samples);
-  auto RunStep = [&](bool Fused) {
-    bool Prev = fusedAttentionEnabled();
-    setFusedAttentionEnabled(Fused);
-    LigerNamePredictor Net(V.Joint, V.Target, tinyLigerConfig(), 42);
-    Adam Opt(Net.params());
-    std::vector<Var> Losses;
-    for (const MethodSample &Sample : Samples)
-      Losses.push_back(Net.loss(Sample));
-    Var Loss = meanLoss(Losses);
-    backward(Loss);
-    std::vector<std::vector<float>> Grads, Params;
-    for (const Var &P : Net.params().params())
-      Grads.emplace_back(P->Grad.data(), P->Grad.data() + P->Grad.size());
-    Opt.step();
-    for (const Var &P : Net.params().params())
-      Params.emplace_back(P->Value.data(), P->Value.data() + P->Value.size());
-    setFusedAttentionEnabled(Prev);
-    return std::make_tuple(Loss->Value[0], Grads, Params);
-  };
-  auto [FusedLoss, FusedGrads, FusedParams] = RunStep(true);
-  auto [RefLoss, RefGrads, RefParams] = RunStep(false);
-  EXPECT_EQ(FusedLoss, RefLoss);
-  EXPECT_EQ(FusedGrads, RefGrads);
-  EXPECT_EQ(FusedParams, RefParams);
 }
 
 TEST(LigerTest, AblationsRunAndDiffer) {
@@ -557,25 +527,53 @@ TEST(CheckpointTest, AllFourModelStoresRoundTrip) {
 
 namespace {
 
+/// The modules SeqDecoder(Store, "dec", Config, R) registers, built in
+/// the same order under the same names: a store built from them holds
+/// bitwise the same initial parameters in the same slots, and a test
+/// can drive the decoder's per-sample ops one lane at a time.
+struct DecoderModules {
+  EmbeddingTable TargetEmbed;
+  Linear InitProj;
+  RecurrentCell Cell;
+  AttentionScorer Attn;
+  Linear OutProj;
+
+  DecoderModules(ParamStore &Store, const SeqDecoderConfig &C, Rng &R)
+      : TargetEmbed(Store, "dec.target_embed", C.TargetVocabSize, C.EmbedDim,
+                    R),
+        InitProj(Store, "dec.init", C.InitDim, C.Hidden, R),
+        Cell(Store, "dec.cell", C.Cell, C.EmbedDim + C.MemoryDim, C.Hidden,
+             R),
+        Attn(Store, "dec.attn", C.Hidden, C.MemoryDim, C.AttnHidden, R),
+        OutProj(Store, "dec.out", C.Hidden + C.MemoryDim, C.TargetVocabSize,
+                R) {}
+};
+
 /// A standalone decoder over parameter-backed embeddings/memories, so
 /// the lockstep scheduler sees ragged targets and ragged memories.
+/// With \p PerLane the decoder's modules are built unwrapped
+/// (DecoderModules) instead of as a SeqDecoder.
 struct DecoderFixture {
   ParamStore Store;
+  SeqDecoderConfig Config;
   SeqDecoder Dec;
+  std::optional<DecoderModules> Modules;
   std::vector<Var> Embeds;
   std::vector<std::vector<Var>> Memories;
   std::vector<std::vector<int>> Targets;
 
-  DecoderFixture() {
+  explicit DecoderFixture(bool PerLane = false) {
     Rng R(91);
-    SeqDecoderConfig Config;
     Config.TargetVocabSize = 9;
     Config.EmbedDim = 6;
     Config.Hidden = 8;
     Config.AttnHidden = 7;
     Config.MemoryDim = 5;
     Config.InitDim = 6;
-    Dec = SeqDecoder(Store, "dec", Config, R);
+    if (PerLane)
+      Modules.emplace(Store, Config, R);
+    else
+      Dec = SeqDecoder(Store, "dec", Config, R);
     const size_t MemLens[] = {2, 4, 3};
     for (size_t S = 0; S < 3; ++S) {
       Embeds.push_back(Store.addParam("e" + std::to_string(S),
@@ -592,6 +590,56 @@ struct DecoderFixture {
                {6, Vocabulary::Eos},
                {4, 6, 7, 5, Vocabulary::Eos}};
   }
+
+  /// SeqDecoder::lossBatch's timestep-major walk over the lockstep
+  /// schedule, with every lane through the per-sample ops: contextOf
+  /// per lane, step() per lane, apply() + softmaxCrossEntropy() per
+  /// lane — the same nodes in the same order as the batched walk, one
+  /// lane at a time. Needs a PerLane fixture (GRU cell).
+  std::vector<Var> lossBatchPerLane() const {
+    const DecoderModules &M = *Modules;
+    size_t B = Embeds.size();
+    std::vector<RecState> States(B);
+    std::vector<AttentionScorer::Memory> Mems;
+    std::vector<size_t> Lens(B);
+    for (size_t Bi = 0; Bi < B; ++Bi) {
+      States[Bi].H = tanhV(M.InitProj.apply(Embeds[Bi]));
+      Mems.push_back(M.Attn.prepare(Memories[Bi]));
+      Lens[Bi] = Targets[Bi].size();
+    }
+    std::vector<std::unordered_map<int, Var>> EmbedCaches(B);
+    std::vector<std::vector<Var>> Losses(B);
+    std::vector<std::vector<size_t>> Schedule = lockstepSchedule(Lens);
+    for (size_t T = 0; T < Schedule.size(); ++T) {
+      const std::vector<size_t> &Active = Schedule[T];
+      std::vector<Var> Ctxs, Ins;
+      for (size_t Bi : Active)
+        Ctxs.push_back(M.Attn.contextOf(States[Bi].H, Mems[Bi]).Context);
+      for (size_t Lane = 0; Lane < Active.size(); ++Lane) {
+        size_t Bi = Active[Lane];
+        int Prev = T == 0 ? Vocabulary::Sos : Targets[Bi][T - 1];
+        Var &Embed = EmbedCaches[Bi][Prev];
+        if (!Embed)
+          Embed = M.TargetEmbed.lookup(Prev);
+        Ins.push_back(concat(Embed, Ctxs[Lane]));
+      }
+      for (size_t Lane = 0; Lane < Active.size(); ++Lane)
+        States[Active[Lane]] = M.Cell.step(Ins[Lane], States[Active[Lane]]);
+      std::vector<Var> HeadIns;
+      for (size_t Lane = 0; Lane < Active.size(); ++Lane)
+        HeadIns.push_back(concat(States[Active[Lane]].H, Ctxs[Lane]));
+      for (size_t Lane = 0; Lane < Active.size(); ++Lane) {
+        size_t Bi = Active[Lane];
+        Losses[Bi].push_back(
+            softmaxCrossEntropy(M.OutProj.apply(HeadIns[Lane]),
+                                static_cast<size_t>(Targets[Bi][T])));
+      }
+    }
+    std::vector<Var> Out;
+    for (const std::vector<Var> &L : Losses)
+      Out.push_back(meanLoss(L));
+    return Out;
+  }
 };
 
 } // namespace
@@ -607,19 +655,16 @@ TEST(BatchedLossEquivalenceTest, LossBatchValuesMatchLoss) {
 }
 
 TEST(BatchedLossEquivalenceTest, LossBatchToggleIsBitwise) {
-  // lossBatch always builds the graph timestep-major; the toggle only
-  // swaps the batch op internals, so a whole training step must agree
-  // down to the bit.
+  // lossBatch builds the graph timestep-major through the batch ops
+  // (multi-memory attention, batched cell step, batched loss head);
+  // the same walk through per-lane per-sample ops must agree with it
+  // down to the bit over a whole training step.
   auto RunStep = [](bool Batched) {
-    bool PrevCells = batchedCellsEnabled();
-    bool PrevAttn = batchedAttentionEnabled();
-    bool PrevHead = batchedLossHeadEnabled();
-    setBatchedCellsEnabled(Batched);
-    setBatchedAttentionEnabled(Batched);
-    setBatchedLossHeadEnabled(Batched);
-    DecoderFixture F;
+    DecoderFixture F(/*PerLane=*/!Batched);
     Adam Opt(F.Store);
-    std::vector<Var> Losses = F.Dec.lossBatch(F.Embeds, F.Memories, F.Targets);
+    std::vector<Var> Losses =
+        Batched ? F.Dec.lossBatch(F.Embeds, F.Memories, F.Targets)
+                : F.lossBatchPerLane();
     Var Sum = sumV(stackScalars(Losses));
     backward(Sum);
     std::vector<std::vector<float>> Grads, Params;
@@ -628,13 +673,11 @@ TEST(BatchedLossEquivalenceTest, LossBatchToggleIsBitwise) {
     Opt.step();
     for (const Var &P : F.Store.params())
       Params.emplace_back(P->Value.data(), P->Value.data() + P->Value.size());
-    setBatchedCellsEnabled(PrevCells);
-    setBatchedAttentionEnabled(PrevAttn);
-    setBatchedLossHeadEnabled(PrevHead);
-    return std::make_tuple(Sum->Value[0], Grads, Params);
+    return std::make_tuple(Sum->Value[0], Grads, Params, F.Store.names());
   };
-  auto [BatchedLoss, BatchedGrads, BatchedParams] = RunStep(true);
-  auto [RefLoss, RefGrads, RefParams] = RunStep(false);
+  auto [BatchedLoss, BatchedGrads, BatchedParams, BatchedNames] = RunStep(true);
+  auto [RefLoss, RefGrads, RefParams, RefNames] = RunStep(false);
+  ASSERT_EQ(BatchedNames, RefNames);
   EXPECT_EQ(BatchedLoss, RefLoss);
   EXPECT_EQ(BatchedGrads, RefGrads);
   EXPECT_EQ(BatchedParams, RefParams);
@@ -652,31 +695,6 @@ TEST(BatchedLossEquivalenceTest, LigerLossBatchMatchesLoss) {
   for (size_t S = 0; S < Samples.size(); ++S)
     EXPECT_EQ(Batched[S]->Value[0], Net.loss(Samples[S])->Value[0])
         << "sample " << S;
-}
-
-TEST(BatchedLossEquivalenceTest, CrossSampleStateCacheKeepsLossValuesBitwise) {
-  // Sharing one state-embedding cache across the samples of a batch
-  // merges gradient flow (documented: accumulation order inside a
-  // batched graph is already mode-specific), but the forward values
-  // must stay bitwise-identical: state keys are injective and the
-  // fusion layers are deterministic functions of key + parameters.
-  auto Samples = tinyCorpus();
-  TinyVocabs V = buildVocabs(Samples);
-  auto BatchLossValues = [&](bool Shared) {
-    bool Prev = crossSampleStateCacheEnabled();
-    setCrossSampleStateCacheEnabled(Shared);
-    LigerNamePredictor Net(V.Joint, V.Target, tinyLigerConfig(), 42);
-    std::vector<const MethodSample *> Group;
-    for (const MethodSample &Sample : Samples)
-      Group.push_back(&Sample);
-    std::vector<Var> Losses = Net.lossBatch(Group);
-    std::vector<float> Out;
-    for (const Var &L : Losses)
-      Out.push_back(L->Value[0]);
-    setCrossSampleStateCacheEnabled(Prev);
-    return Out;
-  };
-  EXPECT_EQ(BatchLossValues(true), BatchLossValues(false));
 }
 
 TEST(BatchedLossEquivalenceTest, DecodeBeamWidth1MatchesGreedy) {

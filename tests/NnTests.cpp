@@ -9,6 +9,7 @@
 #include "nn/Graph.h"
 #include "nn/Module.h"
 #include "nn/Optim.h"
+#include "oracle/Oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -219,15 +220,23 @@ TEST(GradCheckTest, LinearAndMlp) {
 
 namespace {
 
-void checkCell(CellKind Kind) {
+/// Finite-difference check of a three-step run of \p Kind: the
+/// production cell, or with \p Reference the oracle's per-gate graph
+/// over the same parameters.
+void checkCell(CellKind Kind, bool Reference = false) {
   ParamStore Store;
   Rng R(19);
   RecurrentCell Cell(Store, "cell", Kind, 3, 4, R);
   std::vector<Var> Inputs{constant(Tensor::uniform(3, 0.9f, R)),
                           constant(Tensor::uniform(3, 0.9f, R)),
                           constant(Tensor::uniform(3, 0.9f, R))};
+  auto Run = [&] {
+    if (Reference)
+      return oracle::ReferenceCell(Store, "cell", Kind).runUnfused(Inputs);
+    return Cell.run(Inputs);
+  };
   GradCheckResult Result = checkGradients(Store, [&] {
-    std::vector<RecState> States = Cell.run(Inputs);
+    std::vector<RecState> States = Run();
     Var Last = States.back().H;
     return dot(Last, Last);
   });
@@ -280,12 +289,13 @@ TEST(GradCheckTest, AttentionScorer) {
   ParamStore Store;
   Rng R(23);
   AttentionScorer Attn(Store, "attn", 3, 4, 5, R);
+  oracle::ReferenceAttention Ref(Store, "attn", 4);
   Var Q = constant(Tensor::uniform(3, 0.9f, R));
   std::vector<Var> Keys{constant(Tensor::uniform(4, 0.9f, R)),
                         constant(Tensor::uniform(4, 0.9f, R)),
                         constant(Tensor::uniform(4, 0.9f, R))};
   GradCheckResult Result = checkGradients(Store, [&] {
-    Var W = Attn.weights(Q, Keys);
+    Var W = Ref.weights(Q, Keys);
     Var C = weightedCombine(Keys, W);
     return dot(C, C);
   });
@@ -816,15 +826,6 @@ TEST(AdamOptionsTest, ClippingDefaultsOff) {
 
 namespace {
 
-/// RAII toggle for the fused-cell dispatch.
-struct FusedGuard {
-  explicit FusedGuard(bool Enabled) : Prev(fusedCellsEnabled()) {
-    setFusedCellsEnabled(Enabled);
-  }
-  ~FusedGuard() { setFusedCellsEnabled(Prev); }
-  bool Prev;
-};
-
 /// The three-node / two-level AST used by the TreeLSTM tests.
 AstTree buildTestTree() {
   AstTree T;
@@ -855,28 +856,27 @@ std::function<Var(const std::string &)> treeLookup(const EmbeddingTable &Emb) {
 
 } // namespace
 
-// The per-gate reference paths (view nodes over the packed weights)
-// must satisfy the same finite-difference checks as the fused default.
+// The oracle's per-gate reference graphs (view nodes over the packed
+// weights) must satisfy the same finite-difference checks as the fused
+// production ops.
 TEST(GradCheckTest, GruCellUnfusedReference) {
-  FusedGuard Guard(false);
-  checkCell(CellKind::Gru);
+  checkCell(CellKind::Gru, /*Reference=*/true);
 }
 
 TEST(GradCheckTest, LstmCellUnfusedReference) {
-  FusedGuard Guard(false);
-  checkCell(CellKind::Lstm);
+  checkCell(CellKind::Lstm, /*Reference=*/true);
 }
 
 TEST(GradCheckTest, TreeLstmUnfusedReference) {
-  FusedGuard Guard(false);
   ParamStore Store;
   Rng R(21);
   ChildSumTreeLstm Tree(Store, "tree", 3, 4, R);
   EmbeddingTable Emb(Store, "emb", 6, 3, R);
+  oracle::ReferenceTreeLstm Ref(Store, "tree");
   AstTree T = buildTestTree();
   auto Lookup = treeLookup(Emb);
   GradCheckResult Result = checkGradients(Store, [&] {
-    Var H = Tree.embed(T, Lookup);
+    Var H = Ref.embedUnfused(T, Lookup);
     return dot(H, H);
   });
   EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "
@@ -969,16 +969,17 @@ struct StepResult {
 };
 
 /// One full training step (batched loss, backward, Adam update) of a
-/// sequence classifier built on \p Kind, with the fused dispatch
-/// toggled by \p Fused. Identical seeds make the runs comparable down
-/// to the bit.
+/// sequence classifier built on \p Kind, through the fused production
+/// cell when \p Fused, else through the oracle's per-gate reference
+/// graph over the same parameters. Identical seeds make the runs
+/// comparable down to the bit.
 StepResult runCellTrainingStep(CellKind Kind, bool Fused) {
-  FusedGuard Guard(Fused);
   ParamStore Store;
   Rng R(61);
   EmbeddingTable Emb(Store, "emb", 5, 6, R);
   RecurrentCell Cell(Store, "cell", Kind, 6, 8, R);
   Linear Head(Store, "head", 8, 3, R);
+  oracle::ReferenceCell Ref(Store, "cell", Kind);
   Adam Opt(Store);
 
   const int Tokens[3][4] = {{0, 1, 2, 3}, {4, 3, 2, 1}, {1, 1, 0, 2}};
@@ -987,7 +988,7 @@ StepResult runCellTrainingStep(CellKind Kind, bool Fused) {
     std::vector<Var> Inputs;
     for (int T = 0; T < 4; ++T)
       Inputs.push_back(Emb.lookup(Tokens[S][T]));
-    Var H = Cell.run(Inputs).back().H;
+    Var H = (Fused ? Cell.run(Inputs) : Ref.runUnfused(Inputs)).back().H;
     Losses.push_back(softmaxCrossEntropy(Head.apply(H), S));
   }
   Var Loss = meanLoss(Losses);
@@ -1002,17 +1003,17 @@ StepResult runCellTrainingStep(CellKind Kind, bool Fused) {
 }
 
 StepResult runTreeTrainingStep(bool Fused) {
-  FusedGuard Guard(Fused);
   ParamStore Store;
   Rng R(63);
   ChildSumTreeLstm Tree(Store, "tree", 6, 8, R);
   EmbeddingTable Emb(Store, "emb", 6, 6, R);
   Linear Head(Store, "head", 8, 3, R);
+  oracle::ReferenceTreeLstm Ref(Store, "tree");
   Adam Opt(Store);
 
   AstTree T = buildTestTree();
   auto Lookup = treeLookup(Emb);
-  Var H = Tree.embed(T, Lookup);
+  Var H = Fused ? Tree.embed(T, Lookup) : Ref.embedUnfused(T, Lookup);
   Var Loss = softmaxCrossEntropy(Head.apply(H), 1);
   backward(Loss);
 
@@ -1055,13 +1056,13 @@ TEST(FusedEquivalenceTest, GradSinkRoutingIsBitwise) {
   // the fused backward must route parameter gradients through the sink
   // exactly like the reference graph does.
   auto RunSink = [](bool Fused) {
-    FusedGuard Guard(Fused);
     ParamStore Store;
     Rng R(65);
     RecurrentCell Cell(Store, "cell", CellKind::Gru, 4, 6, R);
+    oracle::ReferenceCell Ref(Store, "cell", CellKind::Gru);
     std::vector<Var> Inputs{constant(Tensor::uniform(4, 0.9f, R)),
                             constant(Tensor::uniform(4, 0.9f, R))};
-    Var H = Cell.run(Inputs).back().H;
+    Var H = (Fused ? Cell.run(Inputs) : Ref.runUnfused(Inputs)).back().H;
     GradSink Sink;
     backward(dot(H, H), Sink);
     std::vector<std::vector<float>> Out;
@@ -1078,165 +1079,49 @@ TEST(FusedEquivalenceTest, GradSinkRoutingIsBitwise) {
 }
 
 //===----------------------------------------------------------------------===//
-// Checkpoint migration: per-gate legacy layout -> packed gate weights
+// Checkpoints and packed gate weights
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// A store laid out like the pre-packing GRU registration: per-gate
-/// Linear weights and biases, then per-gate hidden matrices, in the old
-/// creation order.
-void buildLegacyGruStore(ParamStore &Store, size_t In, size_t H,
-                         uint64_t Seed) {
-  Rng R(Seed);
-  const char *Gates[] = {".Wz", ".Wr", ".Wn"};
-  for (const char *G : Gates) {
-    Store.addParam(std::string("gru") + G + ".W", Tensor::xavier(H, In, R));
-    Store.addParam(std::string("gru") + G + ".b",
-                   Tensor::uniform(H, 0.5f, R));
-  }
-  const char *HMats[] = {".Uz", ".Ur", ".Un"};
-  for (const char *U : HMats)
-    Store.addParam(std::string("gru") + U, Tensor::xavier(H, H, R));
-}
-
-} // namespace
-
-TEST(CheckpointTest, LegacyPerGateCheckpointLoadsIntoPackedStore) {
-  // A full training checkpoint (params + Adam moments + trainer best
-  // snapshot) written from the per-gate layout must load bit-exactly
-  // into today's packed-parameter store through the legacy-view
-  // registry.
-  std::string Path = testing::TempDir() + "/liger_legacy_gru.ckpt";
+TEST(CheckpointTest, PerGateCheckpointIsRejected) {
+  // Checkpoints name gated-cell weights by their packed tensors
+  // (gru.Wx / gru.bx / gru.Wh). A file naming per-gate tensors
+  // (gru.Wz.W, gru.Uz, ...) must fail to load with a diagnostic and
+  // leave the store untouched — whether it holds every gate (more
+  // tensors than the store) or only the z gate (as many tensors as the
+  // store, none of them known).
   const size_t In = 3, H = 4;
-  ParamStore Legacy;
-  buildLegacyGruStore(Legacy, In, H, 67);
-  Adam LegacyOpt(Legacy);
-  stepAdamABit(Legacy, LegacyOpt, 3);
-  TrainerState TS;
-  TS.NextEpoch = 5;
-  TS.HasBest = true;
-  for (const Var &P : Legacy.params())
-    TS.BestParams.push_back(P->Value);
-  std::string Error;
-  ASSERT_TRUE(saveCheckpoint(Path, Legacy, &LegacyOpt, &TS, &Error)) << Error;
-
-  ParamStore Packed;
-  Rng R(69);
-  RecurrentCell Cell(Packed, "gru", CellKind::Gru, In, H, R);
-  ASSERT_EQ(Packed.params().size(), 3u);
-  Adam PackedOpt(Packed);
-  TrainerState Loaded;
-  ASSERT_TRUE(loadCheckpoint(Path, Packed, &PackedOpt, &Loaded, &Error))
-      << Error;
-
-  // params() order in the packed store: Wx [3H x In], bx [3H],
-  // Wh [3H x H]; legacy store order: Wz.W, Wz.b, Wr.W, Wr.b, Wn.W,
-  // Wn.b, Uz, Ur, Un.
-  const Tensor &Wx = Packed.params()[0]->Value;
-  const Tensor &Bx = Packed.params()[1]->Value;
-  const Tensor &Wh = Packed.params()[2]->Value;
-  for (size_t G = 0; G < 3; ++G) {
-    const Tensor &LW = Legacy.params()[2 * G]->Value;
-    const Tensor &LB = Legacy.params()[2 * G + 1]->Value;
-    const Tensor &LU = Legacy.params()[6 + G]->Value;
-    EXPECT_EQ(std::memcmp(Wx.data() + G * H * In, LW.data(),
-                          H * In * sizeof(float)),
-              0)
-        << "x-weights of gate " << G;
-    EXPECT_EQ(std::memcmp(Bx.data() + G * H, LB.data(), H * sizeof(float)),
-              0)
-        << "bias of gate " << G;
-    EXPECT_EQ(
-        std::memcmp(Wh.data() + G * H * H, LU.data(), H * H * sizeof(float)),
-        0)
-        << "h-weights of gate " << G;
-  }
-
-  // Adam moments and the best snapshot migrate region-by-region too.
-  EXPECT_EQ(PackedOpt.stepCount(), LegacyOpt.stepCount());
-  ASSERT_TRUE(Loaded.HasBest);
-  ASSERT_EQ(Loaded.BestParams.size(), 3u);
-  for (size_t G = 0; G < 3; ++G) {
-    EXPECT_EQ(std::memcmp(PackedOpt.firstMoments()[0].data() + G * H * In,
-                          LegacyOpt.firstMoments()[2 * G].data(),
-                          H * In * sizeof(float)),
-              0);
-    EXPECT_EQ(std::memcmp(PackedOpt.secondMoments()[2].data() + G * H * H,
-                          LegacyOpt.secondMoments()[6 + G].data(),
-                          H * H * sizeof(float)),
-              0);
-    EXPECT_EQ(std::memcmp(Loaded.BestParams[0].data() + G * H * In,
-                          TS.BestParams[2 * G].data(),
-                          H * In * sizeof(float)),
-              0);
-  }
-  EXPECT_EQ(Loaded.NextEpoch, TS.NextEpoch);
-}
-
-TEST(CheckpointTest, PartialLegacyCoverageIsRejected) {
-  // Dropping one per-gate tensor must fail the coverage check and
-  // leave the target store untouched.
-  std::string Path = testing::TempDir() + "/liger_legacy_partial.ckpt";
-  const size_t In = 3, H = 4;
-  ParamStore Partial;
-  Rng R0(71);
-  Partial.addParam("gru.Wz.W", Tensor::xavier(H, In, R0));
-  Partial.addParam("gru.Wz.b", Tensor::uniform(H, 0.5f, R0));
-  // .Wr/.Wn and the hidden matrices are missing entirely.
-  ASSERT_TRUE(Partial.save(Path));
+  auto SavePerGate = [&](const std::vector<std::string> &Gates,
+                         const std::string &Path) {
+    ParamStore PerGate;
+    Rng R0(71);
+    for (const std::string &G : Gates) {
+      PerGate.addParam("gru.W" + G + ".W", Tensor::xavier(H, In, R0));
+      PerGate.addParam("gru.W" + G + ".b", Tensor::uniform(H, 0.5f, R0));
+    }
+    for (const std::string &G : Gates)
+      PerGate.addParam("gru.U" + G, Tensor::xavier(H, H, R0));
+    return PerGate.save(Path);
+  };
+  std::string AllGates = testing::TempDir() + "/liger_per_gate_all.ckpt";
+  std::string ZGate = testing::TempDir() + "/liger_per_gate_z.ckpt";
+  ASSERT_TRUE(SavePerGate({"z", "r", "n"}, AllGates));
+  ASSERT_TRUE(SavePerGate({"z"}, ZGate));
 
   ParamStore Packed;
   Rng R(73);
   RecurrentCell Cell(Packed, "gru", CellKind::Gru, In, H, R);
   std::vector<std::vector<float>> Pristine = dumpParams(Packed);
   std::string Error;
-  EXPECT_FALSE(Packed.load(Path, &Error));
-  EXPECT_NE(Error.find("not fully covered"), std::string::npos) << Error;
+  EXPECT_FALSE(Packed.load(AllGates, &Error));
+  EXPECT_NE(Error.find("holds 9 parameter tensors, store has 3"),
+            std::string::npos)
+      << Error;
   EXPECT_EQ(dumpParams(Packed), Pristine);
-}
-
-TEST(CheckpointTest, TreeLstmLegacyNamesMapToPackOrder) {
-  // The TreeLSTM packs gates i, o, u, f while the legacy creation
-  // order was Wi, Wf, Wo, Wu — the loader must honor the registered
-  // row offsets, not positional order.
-  std::string Path = testing::TempDir() + "/liger_legacy_tree.ckpt";
-  const size_t In = 3, H = 4;
-  ParamStore Legacy;
-  Rng R0(75);
-  const char *XNames[] = {".Wi", ".Wf", ".Wo", ".Wu"};
-  for (const char *G : XNames) {
-    Legacy.addParam(std::string("tree") + G + ".W", Tensor::xavier(H, In, R0));
-    Legacy.addParam(std::string("tree") + G + ".b",
-                    Tensor::uniform(H, 0.5f, R0));
-  }
-  const char *UNames[] = {".Ui", ".Uf", ".Uo", ".Uu"};
-  for (const char *U : UNames)
-    Legacy.addParam(std::string("tree") + U, Tensor::xavier(H, H, R0));
-  ASSERT_TRUE(Legacy.save(Path));
-
-  ParamStore Packed;
-  Rng R(77);
-  ChildSumTreeLstm Tree(Packed, "tree", In, H, R);
-  std::string Error;
-  ASSERT_TRUE(Packed.load(Path, &Error)) << Error;
-
-  // Pack rows: i = 0, o = 1, u = 2, f = 3; legacy param order i, f, o, u.
-  const size_t PackRow[] = {0, 3, 1, 2}; // for legacy order Wi, Wf, Wo, Wu
-  const Tensor &Wx = Packed.params()[0]->Value;
-  const Tensor &Wh = Packed.params()[2]->Value;
-  for (size_t L = 0; L < 4; ++L) {
-    const Tensor &LW = Legacy.params()[2 * L]->Value;
-    const Tensor &LU = Legacy.params()[8 + L]->Value;
-    EXPECT_EQ(std::memcmp(Wx.data() + PackRow[L] * H * In, LW.data(),
-                          H * In * sizeof(float)),
-              0)
-        << "x-weights " << XNames[L];
-    EXPECT_EQ(std::memcmp(Wh.data() + PackRow[L] * H * H, LU.data(),
-                          H * H * sizeof(float)),
-              0)
-        << "h-weights " << UNames[L];
-  }
+  EXPECT_FALSE(Packed.load(ZGate, &Error));
+  EXPECT_NE(Error.find("'gru.Wz.W' does not match any store parameter"),
+            std::string::npos)
+      << Error;
+  EXPECT_EQ(dumpParams(Packed), Pristine);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1245,32 +1130,26 @@ TEST(CheckpointTest, TreeLstmLegacyNamesMapToPackOrder) {
 
 namespace {
 
-/// RAII toggle for the fused-attention dispatch.
-struct FusedAttnGuard {
-  explicit FusedAttnGuard(bool Enabled) : Prev(fusedAttentionEnabled()) {
-    setFusedAttentionEnabled(Enabled);
-  }
-  ~FusedAttnGuard() { setFusedAttentionEnabled(Prev); }
-  bool Prev;
-};
-
 /// Finite-difference check of one prepare() + contextOf() attention
-/// step with every parameter and input (query, keys) perturbed. Odd
-/// dims exercise the SIMD kernels' remainder lanes; \p T sweeps the
-/// memory-size remainder cases.
-void checkAttentionAt(size_t T) {
+/// step with every parameter and input (query, keys) perturbed — of
+/// the fused production ops, or with \p Reference of the oracle's
+/// per-pair reference graph. Odd dims exercise the SIMD kernels'
+/// remainder lanes; \p T sweeps the memory-size remainder cases.
+void checkAttentionAt(size_t T, bool Reference = false) {
   ParamStore Store;
   Rng R(81);
   const size_t QDim = 5, KDim = 6, Hidden = 7;
   AttentionScorer Attn(Store, "attn", QDim, KDim, Hidden, R);
+  oracle::ReferenceAttention Ref(Store, "attn", KDim);
   Var Q = Store.addParam("q", Tensor::uniform(QDim, 0.9f, R));
   std::vector<Var> Keys;
   for (size_t I = 0; I < T; ++I)
     Keys.push_back(
         Store.addParam("k" + std::to_string(I), Tensor::uniform(KDim, 0.9f, R)));
   GradCheckResult Result = checkGradients(Store, [&] {
-    AttentionScorer::Memory Mem = Attn.prepare(Keys);
-    AttentionScorer::Result Out = Attn.contextOf(Q, Mem);
+    AttentionScorer::Result Out =
+        Reference ? Ref.contextOf(Q, Ref.prepare(Keys))
+                  : Attn.contextOf(Q, Attn.prepare(Keys));
     return dot(Out.Context, Out.Context);
   });
   EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "
@@ -1286,10 +1165,9 @@ TEST(GradCheckTest, AttentionOpMemory3) { checkAttentionAt(3); }
 TEST(GradCheckTest, AttentionOpMemory7) { checkAttentionAt(7); }
 TEST(GradCheckTest, AttentionOpMemory9) { checkAttentionAt(9); }
 
-// The per-pair reference graph must satisfy the same checks.
+// The oracle's per-pair reference graph must satisfy the same checks.
 TEST(GradCheckTest, AttentionUnfusedReference) {
-  FusedAttnGuard Guard(false);
-  checkAttentionAt(3);
+  checkAttentionAt(3, /*Reference=*/true);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1307,11 +1185,11 @@ struct AttnStepResult {
 
 /// One training step of a miniature teacher-forced attention decoder
 /// (embedding -> recurrent cell with attended context -> logits), the
-/// decoder shape SeqDecoder builds, with the fused-attention dispatch
-/// toggled by \p Fused. The key projections are prepared once and
-/// shared across every step, in both modes.
+/// decoder shape SeqDecoder builds, attending through the fused
+/// production ops when \p Fused, else through the oracle's per-pair
+/// reference graph. The key projections are prepared once and shared
+/// across every step, in both modes.
 AttnStepResult runAttentionDecoderStep(CellKind Kind, bool Fused) {
-  FusedAttnGuard Guard(Fused);
   ParamStore Store;
   Rng R(83);
   const size_t EmbDim = 6, Hidden = 8, KeyDim = 5, AttnHidden = 9,
@@ -1320,6 +1198,7 @@ AttnStepResult runAttentionDecoderStep(CellKind Kind, bool Fused) {
   RecurrentCell Cell(Store, "cell", Kind, EmbDim + KeyDim, Hidden, R);
   AttentionScorer Attn(Store, "attn", Hidden, KeyDim, AttnHidden, R);
   Linear Head(Store, "head", Hidden + KeyDim, Vocab, R);
+  oracle::ReferenceAttention Ref(Store, "attn", KeyDim);
   std::vector<Var> Memory;
   for (int I = 0; I < 4; ++I)
     Memory.push_back(
@@ -1327,13 +1206,19 @@ AttnStepResult runAttentionDecoderStep(CellKind Kind, bool Fused) {
   Adam Opt(Store);
 
   const int Targets[] = {4, 5, 6, 4, 2};
-  AttentionScorer::Memory Mem = Attn.prepare(Memory);
+  AttentionScorer::Memory Mem;
+  oracle::ReferenceAttention::Memory RefMem;
+  if (Fused)
+    Mem = Attn.prepare(Memory);
+  else
+    RefMem = Ref.prepare(Memory);
   RecState State = Cell.initial();
   AttnStepResult Result;
   std::vector<Var> Losses;
   int Prev = 3;
   for (int Target : Targets) {
-    AttentionScorer::Result Step = Attn.contextOf(State.H, Mem);
+    AttentionScorer::Result Step =
+        Fused ? Attn.contextOf(State.H, Mem) : Ref.contextOf(State.H, RefMem);
     Result.StepWeights.emplace_back(Step.Weights,
                                     Step.Weights + Memory.size());
     State = Cell.step(concat(Emb.lookup(Prev), Step.Context), State);
@@ -1353,14 +1238,15 @@ AttnStepResult runAttentionDecoderStep(CellKind Kind, bool Fused) {
 
 /// One training step in the LIGER fusion-site shape: the component set
 /// is re-prepared every step (components change per trace step there)
-/// and the query is the evolving recurrent state.
+/// and the query is the evolving recurrent state. \p Fused selects the
+/// production ops or the oracle's reference graph, as above.
 AttnStepResult runFusionStyleStep(bool Fused) {
-  FusedAttnGuard Guard(Fused);
   ParamStore Store;
   Rng R(85);
   const size_t Dim = 6, AttnHidden = 7;
   RecurrentCell Cell(Store, "cell", CellKind::Gru, Dim, Dim, R);
   AttentionScorer A1(Store, "a1", Dim, Dim, AttnHidden, R);
+  oracle::ReferenceAttention Ref(Store, "a1", Dim);
   std::vector<Var> Components;
   for (int I = 0; I < 3; ++I)
     Components.push_back(
@@ -1370,8 +1256,9 @@ AttnStepResult runFusionStyleStep(bool Fused) {
   AttnStepResult Result;
   RecState State = Cell.initial();
   for (int J = 0; J < 3; ++J) {
-    AttentionScorer::Memory Mem = A1.prepare(Components);
-    AttentionScorer::Result Fusion = A1.contextOf(State.H, Mem);
+    AttentionScorer::Result Fusion =
+        Fused ? A1.contextOf(State.H, A1.prepare(Components))
+              : Ref.contextOf(State.H, Ref.prepare(Components));
     Result.StepWeights.emplace_back(Fusion.Weights,
                                     Fusion.Weights + Components.size());
     State = Cell.step(Fusion.Context, State);
@@ -1416,34 +1303,34 @@ TEST(AttentionEquivalenceTest, FusionStyleChainIsBitwise) {
 }
 
 TEST(AttentionEquivalenceTest, ScoreAllMatchesPerPairScores) {
-  // The batched pre-softmax scores must be bitwise what the per-pair
-  // reference chain computes for each key.
+  // The oracle's shared-projection scores must be bitwise what its
+  // per-pair chain computes for each key.
   ParamStore Store;
   Rng R(87);
   AttentionScorer Attn(Store, "attn", 5, 6, 7, R);
+  oracle::ReferenceAttention Ref(Store, "attn", 6);
   Var Q = constant(Tensor::uniform(5, 0.9f, R));
   std::vector<Var> Keys;
   for (int I = 0; I < 4; ++I)
     Keys.push_back(constant(Tensor::uniform(6, 0.9f, R)));
-  Var Batched = Attn.scoreAll(Q, Keys);
+  Var Batched = Ref.scoreAll(Q, Keys);
   ASSERT_EQ(Batched->Value.size(), Keys.size());
   for (size_t I = 0; I < Keys.size(); ++I)
-    EXPECT_EQ(Attn.scoreUnfused(Q, Keys[I])->Value[0], Batched->Value[I]);
+    EXPECT_EQ(Ref.scoreUnfused(Q, Keys[I])->Value[0], Batched->Value[I]);
 }
 
 TEST(AttentionEquivalenceTest, KeyProjMatchesReferenceRows) {
   // The fused [T x Hidden] key projection must be bitwise the
-  // reference per-key add(matvec(colsView(W1), key), b1) rows.
-  FusedAttnGuard FusedOn(true);
+  // oracle's per-key add(matvec(colsView(W1), key), b1) rows.
   ParamStore Store;
   Rng R(89);
   AttentionScorer Attn(Store, "attn", 5, 6, 7, R);
+  oracle::ReferenceAttention Ref(Store, "attn", 6);
   std::vector<Var> Keys;
   for (int I = 0; I < 5; ++I)
     Keys.push_back(constant(Tensor::uniform(6, 0.9f, R)));
   AttentionScorer::Memory FusedMem = Attn.prepare(Keys);
-  FusedAttnGuard FusedOff(false);
-  AttentionScorer::Memory RefMem = Attn.prepare(Keys);
+  oracle::ReferenceAttention::Memory RefMem = Ref.prepare(Keys);
   ASSERT_NE(FusedMem.KeyProj, nullptr);
   ASSERT_EQ(RefMem.KeyProjRows.size(), Keys.size());
   for (size_t T = 0; T < Keys.size(); ++T) {
@@ -1509,30 +1396,12 @@ TEST(CheckpointTest, AttentionMlpCheckpointLoadsUnchanged) {
 
 namespace {
 
-struct BatchedGuard {
-  explicit BatchedGuard(bool Enabled)
-      : PrevCells(batchedCellsEnabled()),
-        PrevAttn(batchedAttentionEnabled()),
-        PrevLossHead(batchedLossHeadEnabled()) {
-    setBatchedCellsEnabled(Enabled);
-    setBatchedAttentionEnabled(Enabled);
-    setBatchedLossHeadEnabled(Enabled);
-  }
-  ~BatchedGuard() {
-    setBatchedCellsEnabled(PrevCells);
-    setBatchedAttentionEnabled(PrevAttn);
-    setBatchedLossHeadEnabled(PrevLossHead);
-  }
-  bool PrevCells, PrevAttn, PrevLossHead;
-};
-
 /// One training step of B token sequences advancing in lockstep
-/// through stepBatch, with the batched dispatch toggled by \p Batched
-/// (off = the per-sample fused step() loop). Identical seeds make the
-/// runs comparable down to the bit.
+/// through stepBatch when \p Batched, else through a per-lane loop of
+/// the fused per-sample step(). Identical seeds make the runs
+/// comparable down to the bit.
 StepResult runBatchedCellTrainingStep(CellKind Kind, size_t B,
                                       bool Batched) {
-  BatchedGuard Guard(Batched);
   ParamStore Store;
   Rng R(71);
   EmbeddingTable Emb(Store, "emb", 5, 6, R);
@@ -1547,7 +1416,11 @@ StepResult runBatchedCellTrainingStep(CellKind Kind, size_t B,
     std::vector<Var> Inputs;
     for (size_t S = 0; S < B; ++S)
       Inputs.push_back(Emb.lookup(static_cast<int>((S * 7 + T * 3) % 5)));
-    States = Cell.stepBatch(Inputs, States);
+    if (Batched)
+      States = Cell.stepBatch(Inputs, States);
+    else
+      for (size_t S = 0; S < B; ++S)
+        States[S] = Cell.step(Inputs[S], States[S]);
   }
   std::vector<Var> Losses;
   for (size_t S = 0; S < B; ++S)
@@ -1565,10 +1438,9 @@ StepResult runBatchedCellTrainingStep(CellKind Kind, size_t B,
 }
 
 /// One training step scoring Q recurrent queries against one shared
-/// prepared memory through contextOfMulti, with the multi-query
-/// dispatch toggled by \p Batched (off = per-query contextOf loop).
+/// prepared memory through contextOfMulti when \p Batched, else
+/// through a per-query contextOf loop.
 AttnStepResult runMultiQueryStep(size_t Q, bool Batched) {
-  BatchedGuard Guard(Batched);
   ParamStore Store;
   Rng R(73);
   const size_t QDim = 6, KeyDim = 5, AttnHidden = 7;
@@ -1584,7 +1456,12 @@ AttnStepResult runMultiQueryStep(size_t Q, bool Batched) {
   Adam Opt(Store);
 
   AttentionScorer::Memory Mem = Attn.prepare(Memory);
-  std::vector<AttentionScorer::Result> Out = Attn.contextOfMulti(Queries, Mem);
+  std::vector<AttentionScorer::Result> Out;
+  if (Batched)
+    Out = Attn.contextOfMulti(Queries, Mem);
+  else
+    for (const Var &Query : Queries)
+      Out.push_back(Attn.contextOf(Query, Mem));
   AttnStepResult Result;
   std::vector<Var> Norms;
   for (const AttentionScorer::Result &Ctx : Out) {
@@ -1619,10 +1496,9 @@ void expectMultiQueryBitwise(size_t Q) {
 }
 
 /// One training step of B lanes through the projection + softmax-CE
-/// loss head, with the single-matmul batch dispatch toggled by
-/// \p Batched (off = per-lane softmaxCrossEntropy(apply(x)) chain).
+/// loss head: the single-matmul batch node when \p Batched, else the
+/// per-lane softmaxCrossEntropy(apply(x)) chain.
 StepResult runLossHeadStep(size_t B, bool Batched) {
-  BatchedGuard Guard(Batched);
   ParamStore Store;
   Rng R(85);
   const size_t In = 7, V = 5;
@@ -1636,7 +1512,12 @@ StepResult runLossHeadStep(size_t B, bool Batched) {
   }
   Adam Opt(Store);
 
-  std::vector<Var> Losses = Head.softmaxCrossEntropyBatch(Xs, Targets);
+  std::vector<Var> Losses;
+  if (Batched)
+    Losses = Head.softmaxCrossEntropyBatch(Xs, Targets);
+  else
+    for (size_t I = 0; I < B; ++I)
+      Losses.push_back(softmaxCrossEntropy(Head.apply(Xs[I]), Targets[I]));
   Var Loss = meanLoss(Losses);
   backward(Loss);
 
@@ -1657,10 +1538,9 @@ void expectLossHeadBitwise(size_t B) {
 }
 
 /// One training step scoring Q queries each against its OWN prepared
-/// memory (distinct lengths) through contextOfMultiMemory, with the
-/// batched dispatch toggled by \p Batched (off = per-query contextOf).
+/// memory (distinct lengths) through contextOfMultiMemory when
+/// \p Batched, else through a per-query contextOf loop.
 AttnStepResult runMultiMemoryStep(size_t Q, bool Batched) {
-  BatchedGuard Guard(Batched);
   ParamStore Store;
   Rng R(87);
   const size_t QDim = 6, KeyDim = 5, AttnHidden = 7;
@@ -1686,8 +1566,12 @@ AttnStepResult runMultiMemoryStep(size_t Q, bool Batched) {
   std::vector<const AttentionScorer::Memory *> MemPtrs;
   for (const AttentionScorer::Memory &M : Mems)
     MemPtrs.push_back(&M);
-  std::vector<AttentionScorer::Result> Out =
-      Attn.contextOfMultiMemory(Queries, MemPtrs);
+  std::vector<AttentionScorer::Result> Out;
+  if (Batched)
+    Out = Attn.contextOfMultiMemory(Queries, MemPtrs);
+  else
+    for (size_t I = 0; I < Q; ++I)
+      Out.push_back(Attn.contextOf(Queries[I], Mems[I]));
 
   AttnStepResult Result;
   std::vector<Var> Norms;

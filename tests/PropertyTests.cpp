@@ -115,6 +115,10 @@ struct SymxSubject {
   const char *Source;
 };
 
+// Without this gtest prints the two pointers' bytes, which ASLR moves on
+// every run, so ctest's discovered test names would change per build.
+void PrintTo(const SymxSubject &S, std::ostream *OS) { *OS << S.Name; }
+
 class SymxReplayP : public testing::TestWithParam<SymxSubject> {};
 
 TEST_P(SymxReplayP, EveryWitnessReplaysItsPath) {
