@@ -39,6 +39,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace liger;
@@ -265,6 +266,8 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   std::fprintf(F, "{\n");
+  std::fprintf(F, "  \"nproc\": %u,\n", std::thread::hardware_concurrency());
+  std::fprintf(F, "  \"build_type\": \"%s\",\n", LIGER_BUILD_TYPE);
   std::fprintf(F, "  \"methods\": %zu,\n", Samples.size());
   std::fprintf(F, "  \"hidden\": %zu,\n", Scale.Hidden);
   std::fprintf(F, "  \"embed\": %zu,\n", Scale.EmbedDim);
@@ -284,11 +287,12 @@ int main(int Argc, char **Argv) {
   std::fprintf(F,
                "  \"embedding_cache\": {\"stmt_hits\": %llu, "
                "\"stmt_misses\": %llu, \"state_hits\": %llu, "
-               "\"state_misses\": %llu},\n",
+               "\"state_misses\": %llu, \"state_cell_steps\": %llu},\n",
                (unsigned long long)EmbCache.StmtHits,
                (unsigned long long)EmbCache.StmtMisses,
                (unsigned long long)EmbCache.StateHits,
-               (unsigned long long)EmbCache.StateMisses);
+               (unsigned long long)EmbCache.StateMisses,
+               (unsigned long long)EmbCache.StateCellSteps);
   std::fprintf(F, "  \"burst_methods\": %zu,\n", Burst.size());
   auto EmitCells = [F](const char *Key, const std::vector<SweepCell> &Cells,
                        bool Last) {

@@ -69,6 +69,30 @@ size_t ScratchArena::floatsReserved() const {
 }
 
 //===----------------------------------------------------------------------===//
+// Per-request memos
+//===----------------------------------------------------------------------===//
+
+void LigerInference::beginRequest() {
+  Arena.reset();
+  F1Trie.Nodes.assign(1, cellInitial(F1));
+  F1Trie.Children.clear();
+  F2Trie.Nodes.assign(1, cellInitial(F2));
+  F2Trie.Children.clear();
+  StmtMemo.clear();
+}
+
+uint32_t LigerInference::trieStep(PrefixTrie &Trie, const CellRef &Cell,
+                                  uint32_t Parent, const float *X) {
+  auto [It, Inserted] = Trie.Children.try_emplace({Parent, X}, 0);
+  if (Inserted) {
+    It->second = static_cast<uint32_t>(Trie.Nodes.size());
+    Trie.Nodes.push_back(cellStep(Cell, X, Trie.Nodes[Parent]));
+    ++Stats.StateCellSteps;
+  }
+  return It->second;
+}
+
+//===----------------------------------------------------------------------===//
 // Weight binding
 //===----------------------------------------------------------------------===//
 
@@ -314,20 +338,45 @@ void appendTreeKey(const AstTree &Tree, std::string &Key) {
 
 } // namespace
 
+const float *LigerInference::fillSlot(std::vector<float> &Slot,
+                                      const float *H) {
+  size_t Hd = Config.Hidden;
+  Slot.resize(Config.UseFusionAttention ? Hd + A1.Hidden : Hd);
+  std::memcpy(Slot.data(), H, Hd * sizeof(float));
+  if (Config.UseFusionAttention) {
+    // Row-wise the same computation attnKeyProj runs over all of a
+    // step's components, so the cached row is bitwise that row.
+    const float *Key = Slot.data();
+    inferops::attentionKeyProjForward(1, A1.Hidden, A1.KeyDim,
+                                      A1.KeyDim + A1.QueryDim, A1.W1, A1.B1,
+                                      &Key, Slot.data() + Hd);
+  }
+  return Slot.data();
+}
+
 const float *LigerInference::embedStatement(const Stmt *S) {
+  // A repeated Stmt* in one request is a hit the persistent lookup
+  // below would also have counted.
+  auto [Memo, Inserted] = StmtMemo.try_emplace(S, nullptr);
+  if (!Inserted) {
+    ++Stats.StmtHits;
+    return Memo->second;
+  }
   AstTree Tree = buildStmtHeadTree(S);
   std::string Key;
   appendTreeKey(Tree, Key);
+  const float *Row;
   auto It = StmtCache.find(Key);
   if (It != StmtCache.end()) {
     ++Stats.StmtHits;
-    return It->second.data();
+    Row = It->second.data();
+  } else {
+    ++Stats.StmtMisses;
+    St R = treeNode(Tree);
+    Row = fillSlot(StmtCache[std::move(Key)], R.H);
   }
-  ++Stats.StmtMisses;
-  St R = treeNode(Tree);
-  std::vector<float> &Slot = StmtCache[std::move(Key)];
-  Slot.assign(R.H, R.H + Config.Hidden);
-  return Slot.data();
+  Memo->second = Row;
+  return Row;
 }
 
 //===----------------------------------------------------------------------===//
@@ -368,34 +417,28 @@ const float *LigerInference::embedState(const ProgramState &State) {
   }
   ++Stats.StateMisses;
 
-  // Per-variable embeddings: primitives embed directly; object values
-  // run f1 over their flattened attr sequence.
-  std::vector<const float *> VarEmbeds;
-  VarEmbeds.reserve(State.Values.size());
+  // Walk the request's tries: f1 over each object value's flattened
+  // attrs (an edge is a token's embedding row, one per token id), then
+  // f2 over the variable inputs (a primitive's embedding row, an
+  // object's f1 node H). Only prefixes no earlier state of this
+  // request took run a cell step.
+  uint32_t Var = 0;
   for (size_t I = 0; I < State.Values.size(); ++I) {
     const Value &V = State.Values[I];
+    const float *In;
     if (V.isArray() || V.isStruct()) {
-      St S = cellInitial(F1);
+      uint32_t Attr = 0;
       for (const std::string &Token : ValueTokens[I])
-        S = cellStep(F1, tokenEmbed(Token), S);
-      VarEmbeds.push_back(S.H);
+        Attr = trieStep(F1Trie, F1, Attr, tokenEmbed(Token));
+      In = F1Trie.Nodes[Attr].H;
     } else {
-      VarEmbeds.push_back(tokenEmbed(ValueTokens[I][0]));
+      In = tokenEmbed(ValueTokens[I][0]);
     }
+    Var = trieStep(F2Trie, F2, Var, In);
   }
-
-  const float *H;
-  if (VarEmbeds.empty()) {
-    H = Arena.allocZeroed(Config.Hidden);
-  } else {
-    St S = cellInitial(F2);
-    for (const float *In : VarEmbeds)
-      S = cellStep(F2, In, S);
-    H = S.H;
-  }
-  std::vector<float> &Slot = StateCache[std::move(Key)];
-  Slot.assign(H, H + Config.Hidden);
-  return Slot.data();
+  // An empty state ends at the root: zeros, as the graph path's
+  // empty-input case.
+  return fillSlot(StateCache[std::move(Key)], F2Trie.Nodes[Var].H);
 }
 
 //===----------------------------------------------------------------------===//
@@ -415,6 +458,8 @@ const float *LigerInference::fuseStep(const BlendedTrace &Path, size_t J,
   }
   if (Components.empty())
     return nullptr;
+  // Every component is a cache slot (fillSlot): embedding, then its
+  // A1 key projection.
 
   if (Components.size() == 1)
     return Components[0];
@@ -427,7 +472,10 @@ const float *LigerInference::fuseStep(const BlendedTrace &Path, size_t J,
       kernels::axpy(H, Inv, Item, Out);
     return Out;
   }
-  const float *KP = attnKeyProj(A1, Components);
+  float *KP = Arena.alloc(Components.size() * A1.Hidden);
+  for (size_t I = 0; I < Components.size(); ++I)
+    std::memcpy(KP + I * A1.Hidden, Components[I] + Config.Hidden,
+                A1.Hidden * sizeof(float));
   return attnContext(A1, Components, KP, PrevH);
 }
 
@@ -497,7 +545,7 @@ LigerInference::encodeInternal(const MethodTraces &Traces,
 }
 
 const float *LigerInference::encode(const MethodTraces &Traces) {
-  Arena.reset();
+  beginRequest();
   std::vector<const float *> StepMemory;
   return encodeInternal(Traces, StepMemory);
 }
@@ -559,18 +607,21 @@ LigerInference::decodeGreedy(const float *ProgramEmbedding,
 }
 
 std::vector<std::string>
-LigerInference::predictName(const MethodTraces &Traces) {
+LigerInference::predictName(const MethodTraces &Traces,
+                            std::vector<float> *Embedding) {
   LIGER_CHECK(TargetVocab, "predictName needs a target vocabulary");
-  Arena.reset();
+  beginRequest();
   std::vector<const float *> StepMemory;
   const float *Program = encodeInternal(Traces, StepMemory);
+  if (Embedding)
+    Embedding->assign(Program, Program + Config.Hidden);
   std::vector<int> Ids = decodeGreedy(Program, StepMemory);
   return idsToSubtokens(Ids, *TargetVocab);
 }
 
 int LigerInference::predictClass(const MethodTraces &Traces) {
   LIGER_CHECK(hasClassifierHead(), "image has no classifier head");
-  Arena.reset();
+  beginRequest();
   std::vector<const float *> StepMemory;
   const float *Program = encodeInternal(Traces, StepMemory);
   const float *Logits = linearApply(Head, Program);

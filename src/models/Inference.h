@@ -10,20 +10,28 @@
 /// shared forward kernels (nn/InferOps.h) directly against an immutable
 /// WeightImage — no graph Nodes, no backward payloads kept alive, no
 /// arena of parent arrays. Temporaries come from a reusable per-engine
-/// ScratchArena that is reset at the top of every request, so a warmed
-/// engine allocates nothing on the steady path.
+/// ScratchArena that is reset at the top of every request.
 ///
 /// Because the ops are the literal functions the autodiff builders
-/// call, the embeddings and predictions are bitwise-identical to the
-/// training-path forward (InferenceEquivalenceTest pins this for GRU
-/// and LSTM configs, encode and decode).
+/// call, on the same inputs, the embeddings and predictions are
+/// bitwise-identical to the training-path forward
+/// (InferenceEquivalenceTest pins this across cells and ablations).
 ///
 /// Since parameters are frozen at serving time, the per-encode
 /// statement/state embedding caches of the training path become
 /// persistent, parameter-versioned caches here: statements are keyed
 /// by their serialized head tree (Stmt pointers do not survive
 /// re-parsing) and states by the same token-signature key the training
-/// cache uses (DESIGN.md §13).
+/// cache uses. Each slot also holds the fusion attention's key-side
+/// projection of its embedding, computed once when the slot is filled.
+///
+/// Within one request, a state-cache miss does not re-run f1 and f2
+/// from the initial state: two prefix tries over the scratch arena
+/// (keyed by parent node and input row: a token's embedding row for
+/// f1; an embedding row or f1 state for f2) memoize every cell step, so
+/// each distinct object-value and variable prefix runs exactly one
+/// step per request. A Stmt* memo in front of the statement cache
+/// skips re-serializing head trees (DESIGN.md §13.2).
 ///
 /// An engine is single-threaded; serving spawns one per worker. It
 /// borrows the WeightImage and vocabularies, which must outlive it.
@@ -41,6 +49,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace liger {
@@ -75,6 +84,8 @@ public:
     uint64_t StmtMisses = 0;
     uint64_t StateHits = 0;
     uint64_t StateMisses = 0;
+    /// f1 + f2 cell steps actually executed on state-cache misses.
+    uint64_t StateCellSteps = 0;
   };
 
   /// \p Target may be null for encode-only / classifier images (then
@@ -88,8 +99,11 @@ public:
   const float *encode(const MethodTraces &Traces);
 
   /// Greedy-decoded method-name subtokens (mirrors
-  /// LigerNamePredictor::predict).
-  std::vector<std::string> predictName(const MethodTraces &Traces);
+  /// LigerNamePredictor::predict). When \p Embedding is non-null it
+  /// receives the program embedding of the same encode.
+  std::vector<std::string> predictName(const MethodTraces &Traces,
+                                       std::vector<float> *Embedding =
+                                           nullptr);
 
   /// Argmax class of the classification head (mirrors
   /// LigerClassifier::predict); only for images with "liger.head".
@@ -122,6 +136,21 @@ private:
     const float *C = nullptr;
   };
 
+  /// Per-request memo of one recurrent cell: node 0 is the initial
+  /// state and the child of node P along input row X holds
+  /// cellStep(X, state(P)). Rows are embedding-table rows or arena
+  /// states of this request, so equal pointers mean equal inputs.
+  struct PrefixTrie {
+    using Edge = std::pair<uint32_t, const float *>; ///< (parent, row)
+    struct EdgeHash {
+      size_t operator()(const Edge &E) const {
+        return std::hash<const float *>()(E.second) * 31 + E.first;
+      }
+    };
+    std::vector<St> Nodes;
+    std::unordered_map<Edge, uint32_t, EdgeHash> Children;
+  };
+
   void bind(const WeightImage &Image);
   LinearRef bindLinear(const WeightImage &Image, const std::string &Name,
                        size_t In, size_t Out) const;
@@ -139,6 +168,16 @@ private:
                            const float *KeyProj, const float *Query);
   const float *attnKeyProj(const AttnRef &Attn,
                            const std::vector<const float *> &Keys);
+
+  /// Resets the arena and every per-request memo.
+  void beginRequest();
+  /// The child of \p Parent along the input row \p X, stepping \p Cell
+  /// only when the trie does not hold it yet.
+  uint32_t trieStep(PrefixTrie &Trie, const CellRef &Cell, uint32_t Parent,
+                    const float *X);
+  /// Fills a persistent cache slot: the embedding \p H, then (under
+  /// fusion attention) its A1 key-side projection.
+  const float *fillSlot(std::vector<float> &Slot, const float *H);
 
   St treeNode(const AstTree &Tree);
   const float *embedStatement(const Stmt *S);
@@ -174,11 +213,16 @@ private:
 
   ScratchArena Arena;
   CacheStats Stats;
-  // Parameter-versioned persistent caches: Config.Hidden floats each.
-  // unordered_map never moves a vector's heap buffer on rehash, so
-  // returned pointers stay valid for the engine's lifetime.
+  // Parameter-versioned persistent caches. A slot is the embedding
+  // (Config.Hidden floats) followed, under fusion attention, by its A1
+  // key projection (Config.AttnHidden floats). unordered_map never
+  // moves a vector's heap buffer on rehash, so returned pointers stay
+  // valid for the engine's lifetime.
   std::unordered_map<std::string, std::vector<float>> StmtCache;
   std::unordered_map<std::string, std::vector<float>> StateCache;
+  // Per-request memos, reset by beginRequest().
+  PrefixTrie F1Trie, F2Trie;
+  std::unordered_map<const Stmt *, const float *> StmtMemo; ///< -> slot.
 };
 
 } // namespace liger

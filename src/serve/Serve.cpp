@@ -56,18 +56,15 @@ size_t countStatements(const Stmt *S) {
   }
 }
 
-/// Deterministic per-request trace seed: a function of the source,
-/// method name, and corpus seed only, so repeated requests for the
-/// same method key identically into the shared trace cache.
-uint64_t requestTraceSeed(const ServeRequest &Request, uint64_t Seed) {
+} // namespace
+
+uint64_t liger::serveTraceSeed(const ServeRequest &Request, uint64_t Seed) {
   StableHash H;
   H.addString(Request.Source);
   H.addString(Request.MethodName);
   H.addU64(Seed);
   return H.digest();
 }
-
-} // namespace
 
 // Mirror of the (file-local) ligerConfig in eval/Experiments.cpp at
 // the full-model ablation: serving must bind exactly the tensors the
@@ -159,9 +156,20 @@ ServeEngine::ServeEngine(const ServeConfig &Config)
 
 ServeResponse ServeEngine::handle(const ServeRequest &Request) {
   EngineLease Lease(*this);
-  ServeResponse Resp = handleOn(Request, Lease.engine());
+  LigerInference &Engine = Lease.engine();
+  LigerInference::CacheStats Before = Engine.cacheStats();
+  ServeResponse Resp = handleOn(Request, Engine);
 
+  // Fold this request's embedding-cache counters in while the lease
+  // still excludes every other reader of the engine.
+  const LigerInference::CacheStats &After = Engine.cacheStats();
   std::lock_guard<std::mutex> Lock(StatsMutex);
+  LigerInference::CacheStats &Sum = Stats.Embeddings;
+  Sum.StmtHits += After.StmtHits - Before.StmtHits;
+  Sum.StmtMisses += After.StmtMisses - Before.StmtMisses;
+  Sum.StateHits += After.StateHits - Before.StateHits;
+  Sum.StateMisses += After.StateMisses - Before.StateMisses;
+  Sum.StateCellSteps += After.StateCellSteps - Before.StateCellSteps;
   ++Stats.Requests;
   switch (Resp.Status) {
   case ServeStatus::Ok:
@@ -231,7 +239,7 @@ ServeResponse ServeEngine::handleOn(const ServeRequest &Request,
     return deadline("parse");
 
   TestGenOptions TraceGen = Config.Scale.traceGenOptions();
-  TraceGen.Seed = requestTraceSeed(Request, Config.Scale.Seed);
+  TraceGen.Seed = serveTraceSeed(Request, Config.Scale.Seed);
   CollectStats Collect;
   MethodTraces Traces = collectTracesCached(*Parsed, *Fn, Request.Source,
                                             TraceGen, Cache.get(), &Collect);
@@ -254,13 +262,8 @@ ServeResponse ServeEngine::handleOn(const ServeRequest &Request,
   if (Traces.Paths.empty())
     return finish(ServeStatus::NoTraces, "no successful execution");
 
-  if (Config.ReturnEmbedding) {
-    const float *E = Engine.encode(Traces);
-    Resp.Embedding.assign(E, E + ModelConfig.Hidden);
-    if (pastDeadline())
-      return deadline("encode");
-  }
-  Resp.NameSubtokens = Engine.predictName(Traces);
+  Resp.NameSubtokens = Engine.predictName(
+      Traces, Config.ReturnEmbedding ? &Resp.Embedding : nullptr);
   return finish(ServeStatus::Ok, "");
 }
 
@@ -273,21 +276,6 @@ ServeEngine::handleBatch(const std::vector<ServeRequest> &Requests) {
 }
 
 ServeStats ServeEngine::stats() const {
-  ServeStats Out;
-  {
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    Out = Stats;
-  }
-  // Engine-local counters: take the engine mutex so no request is in
-  // flight on an engine while its counters are read (callers should
-  // still prefer quiescent points — leased engines are not waited on).
-  std::lock_guard<std::mutex> Lock(EngineMutex);
-  for (const std::unique_ptr<LigerInference> &E : Engines) {
-    const LigerInference::CacheStats &C = E->cacheStats();
-    Out.Embeddings.StmtHits += C.StmtHits;
-    Out.Embeddings.StmtMisses += C.StmtMisses;
-    Out.Embeddings.StateHits += C.StateHits;
-    Out.Embeddings.StateMisses += C.StateMisses;
-  }
-  return Out;
+  std::lock_guard<std::mutex> Lock(StatsMutex);
+  return Stats;
 }

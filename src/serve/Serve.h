@@ -71,6 +71,12 @@ struct ServeRequest {
   uint64_t DeadlineMillis = 0;
 };
 
+/// Deterministic per-request trace seed: a function of the source,
+/// method name, and corpus seed only, so repeated requests for the
+/// same method key identically into the shared trace cache (and a
+/// caller can re-collect the exact traces a request was served from).
+uint64_t serveTraceSeed(const ServeRequest &Request, uint64_t Seed);
+
 struct ServeResponse {
   ServeStatus Status = ServeStatus::ParseError;
   /// Predicted method-name sub-tokens (Ok only).
@@ -96,7 +102,8 @@ struct ServeStats {
   uint64_t DeadlineExceeded = 0;
   uint64_t TraceCacheHits = 0;
   uint64_t TraceCacheMisses = 0;
-  /// Summed over the worker engines' persistent embedding caches.
+  /// Embedding-cache counters summed over every handled request (each
+  /// request's delta is folded in before its engine is released).
   LigerInference::CacheStats Embeddings;
 };
 
@@ -151,7 +158,7 @@ private:
 
   // Free list of per-worker inference engines (ThreadPool::run hands
   // out task indices, not worker identities, so engines are leased).
-  mutable std::mutex EngineMutex;
+  std::mutex EngineMutex;
   std::condition_variable EngineAvailable;
   std::vector<std::unique_ptr<LigerInference>> Engines;
   std::vector<size_t> FreeEngines;

@@ -23,10 +23,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "dataset/Tasks.h"
+#include "lang/Parser.h"
 #include "models/Inference.h"
 #include "nn/GraphArena.h"
 #include "serve/Serve.h"
 #include "testgen/TraceCache.h"
+#include "testgen/TraceCollector.h"
 
 #include "gtest/gtest.h"
 
@@ -53,6 +56,19 @@ ExperimentScale tinyScale() {
   return Scale;
 }
 
+const char *SpinSource = "int spinner(int x) {\n"
+                         "  int spin3 = 0;\n"
+                         "  while (spin3 == 0) { spin3 = spin3 * 1; }\n"
+                         "  return spin3;\n"
+                         "}\n";
+const char *SumSource = "int sumAll(int[] xs) {\n"
+                        "  int s = 0;\n"
+                        "  for (int i = 0; i < len(xs); i = i + 1) {\n"
+                        "    s = s + xs[i];\n"
+                        "  }\n"
+                        "  return s;\n"
+                        "}\n";
+
 std::vector<const MethodSample *> allSamples(const NameTask &Task) {
   std::vector<const MethodSample *> Out;
   for (const MethodSample &S : Task.Split.Train)
@@ -65,12 +81,10 @@ std::vector<const MethodSample *> allSamples(const NameTask &Task) {
 }
 
 /// Checks bitwise encode + exact decode equivalence between the
-/// autodiff model and the forward-only runtime for one cell kind.
-void expectForwardEquivalence(CellKind Cell) {
+/// autodiff model and the forward-only runtime for one config.
+void expectForwardEquivalence(const LigerConfig &Config) {
   ExperimentScale Scale = tinyScale();
   NameTask Task = buildNameTask(Scale, /*Large=*/false);
-  LigerConfig Config = serveLigerConfig(Scale);
-  Config.Cell = Cell;
   LigerNamePredictor Net(Task.Joint, Task.Target, Config, Scale.Seed);
   WeightImage Image = WeightImage::fromStore(Net.params());
   LigerInference Inference(Image, Task.Joint, &Task.Target, Config);
@@ -83,6 +97,7 @@ void expectForwardEquivalence(CellKind Cell) {
   // Two rounds: the first runs the inference engine with cold
   // statement/state caches, the second with warm ones — both must be
   // bitwise-identical to the graph forward.
+  uint64_t ColdCellSteps = 0;
   for (int Round = 0; Round < 2; ++Round) {
     for (const MethodSample *S : Samples) {
       GraphArena::current().reset();
@@ -93,12 +108,30 @@ void expectForwardEquivalence(CellKind Cell) {
                 0)
           << "round " << Round;
       GraphArena::current().reset();
-      EXPECT_EQ(Inference.predictName(S->Traces), Net.predict(*S))
+      std::vector<float> Returned;
+      EXPECT_EQ(Inference.predictName(S->Traces, &Returned), Net.predict(*S))
+          << "round " << Round;
+      ASSERT_EQ(Returned.size(), Config.Hidden);
+      EXPECT_EQ(std::memcmp(Returned.data(),
+                            Enc.ProgramEmbedding->Value.data(),
+                            Config.Hidden * sizeof(float)),
+                0)
           << "round " << Round;
     }
+    if (Round == 0)
+      ColdCellSteps = Inference.cacheStats().StateCellSteps;
   }
-  // Warm rounds actually hit the persistent caches.
-  EXPECT_GT(Inference.cacheStats().StmtHits, 0u);
+  // Warm rounds actually hit the persistent caches and step no cell.
+  const LigerInference::CacheStats &C = Inference.cacheStats();
+  EXPECT_GT(Config.UseStaticFeature ? C.StmtHits : C.StateHits, 0u);
+  EXPECT_EQ(C.StateCellSteps, ColdCellSteps);
+  EXPECT_EQ(ColdCellSteps > 0, Config.UseDynamicFeature);
+}
+
+LigerConfig tinyConfig(CellKind Cell = CellKind::Gru) {
+  LigerConfig Config = serveLigerConfig(tinyScale());
+  Config.Cell = Cell;
+  return Config;
 }
 
 std::string tempPath(const char *Name) {
@@ -137,11 +170,151 @@ WeightImage tinyImage(uint64_t Seed) {
 //===----------------------------------------------------------------------===//
 
 TEST(InferenceEquivalenceTest, GruEncodeDecodeBitwise) {
-  expectForwardEquivalence(CellKind::Gru);
+  expectForwardEquivalence(tinyConfig(CellKind::Gru));
 }
 
 TEST(InferenceEquivalenceTest, LstmEncodeDecodeBitwise) {
-  expectForwardEquivalence(CellKind::Lstm);
+  expectForwardEquivalence(tinyConfig(CellKind::Lstm));
+}
+
+TEST(InferenceEquivalenceTest, RnnEncodeDecodeBitwise) {
+  expectForwardEquivalence(tinyConfig(CellKind::Rnn));
+}
+
+TEST(InferenceEquivalenceTest, NoStaticFeatureBitwise) {
+  LigerConfig Config = tinyConfig();
+  Config.UseStaticFeature = false;
+  expectForwardEquivalence(Config);
+}
+
+TEST(InferenceEquivalenceTest, NoDynamicFeatureBitwise) {
+  LigerConfig Config = tinyConfig();
+  Config.UseDynamicFeature = false;
+  expectForwardEquivalence(Config);
+}
+
+TEST(InferenceEquivalenceTest, NoFusionAttentionBitwise) {
+  LigerConfig Config = tinyConfig();
+  Config.UseFusionAttention = false;
+  expectForwardEquivalence(Config);
+}
+
+TEST(InferenceEquivalenceTest, MeanPoolProgramsBitwise) {
+  LigerConfig Config = tinyConfig();
+  Config.MeanPoolPrograms = true;
+  expectForwardEquivalence(Config);
+}
+
+TEST(InferenceEquivalenceTest, PredictClassMatchesClassifier) {
+  ExperimentScale Scale = tinyScale();
+  NameTask Task = buildNameTask(Scale, /*Large=*/false);
+  LigerConfig Config = tinyConfig();
+  const size_t NumClasses = 5;
+  LigerClassifier Net(Task.Joint, NumClasses, Config, Scale.Seed);
+  WeightImage Image = WeightImage::fromStore(Net.params());
+  LigerInference Inference(Image, Task.Joint, /*Target=*/nullptr, Config);
+  ASSERT_TRUE(Inference.hasClassifierHead());
+
+  GraphArena Arena;
+  GraphArena::Scope Scope(Arena);
+  for (int Round = 0; Round < 2; ++Round)
+    for (const MethodSample *S : allSamples(Task)) {
+      GraphArena::current().reset();
+      Tensor Want = Net.embed(S->Traces);
+      const float *Embedding = Inference.encode(S->Traces);
+      ASSERT_EQ(std::memcmp(Embedding, Want.data(),
+                            Config.Hidden * sizeof(float)),
+                0)
+          << "round " << Round;
+      GraphArena::current().reset();
+      EXPECT_EQ(Inference.predictClass(S->Traces), Net.predict(*S))
+          << "round " << Round;
+    }
+}
+
+namespace {
+
+Value intArray(std::vector<int64_t> Elems) {
+  std::vector<Value> Out;
+  for (int64_t E : Elems)
+    Out.push_back(Value::makeInt(E));
+  return Value::makeArray(std::move(Out));
+}
+
+ProgramState state(Value Xs, int64_t I, int64_t S) {
+  ProgramState St;
+  St.Values = {std::move(Xs), Value::makeInt(I), Value::makeInt(S)};
+  return St;
+}
+
+} // namespace
+
+TEST(InferenceEquivalenceTest, RequestTriesRunEachPrefixOnce) {
+  ExperimentScale Scale = tinyScale();
+  NameTask Task = buildNameTask(Scale, /*Large=*/false);
+  for (const char *Token : {"0", "1", "2", "3", "4", "5", "6"})
+    ASSERT_NE(Task.Joint.lookup(Token), Vocabulary::Unk) << Token;
+
+  DiagnosticSink Diags;
+  std::optional<Program> Parsed = parseAndCheck(SumSource, Diags);
+  ASSERT_TRUE(Parsed);
+  const FunctionDecl *Fn = Parsed->findFunction("sumAll");
+  ASSERT_TRUE(Fn && Fn->Body);
+  const std::vector<const Stmt *> &Body = cast<BlockStmt>(Fn->Body)->body();
+  ASSERT_EQ(Body.size(), 3u); // decl, for, return
+
+  // One path of four steps (the loop statement twice) and two
+  // executions over (xs, i, s). The array repeats under changing
+  // scalars, [3, 1] is a prefix of [3, 1, 2], and the executions share
+  // variable prefixes.
+  MethodSample Sample;
+  Sample.Fn = Fn;
+  Sample.Traces.Fn = Fn;
+  Sample.Traces.VarNames = {"xs", "i", "s"};
+  BlendedTrace Path;
+  for (const Stmt *S : {Body[0], Body[1], Body[1], Body[2]})
+    Path.Symbolic.Steps.push_back({S, StepKind::Plain});
+  StateTrace A, B;
+  A.States = {state(intArray({3, 1, 2}), 0, 0),
+              state(intArray({3, 1, 2}), 1, 3),
+              state(intArray({3, 1, 2}), 2, 4), state(intArray({3, 1}), 2, 4)};
+  B.States = {state(intArray({3, 1, 2}), 0, 0),
+              state(intArray({3, 1, 2}), 1, 5), state(intArray({5}), 2, 4),
+              state(intArray({3, 1, 2}), 2, 6)};
+  Path.Concrete = {A, B};
+  Sample.Traces.Paths.push_back(Path);
+
+  for (CellKind Cell : {CellKind::Gru, CellKind::Lstm, CellKind::Rnn}) {
+    LigerConfig Config = tinyConfig(Cell);
+    LigerNamePredictor Net(Task.Joint, Task.Target, Config, Scale.Seed);
+    WeightImage Image = WeightImage::fromStore(Net.params());
+    LigerInference Inference(Image, Task.Joint, &Task.Target, Config);
+
+    GraphArena Arena;
+    GraphArena::Scope Scope(Arena);
+    LigerEncoding Enc = Net.encoder().encode(Sample.Traces);
+    const float *Embedding = Inference.encode(Sample.Traces);
+    ASSERT_EQ(std::memcmp(Embedding, Enc.ProgramEmbedding->Value.data(),
+                          Config.Hidden * sizeof(float)),
+              0);
+
+    // Seven distinct states (B's first repeats A's). f1 steps the
+    // token prefixes 3 / 3 1 / 3 1 2 / 5; f2 steps every distinct
+    // variable prefix: 3 (A0) + 2 (A1) + 2 (A2) + 3 (A3, new array
+    // node) + 1 (B1) + 3 (B2) + 1 (B3). Re-running f1/f2 per miss
+    // would take 39 steps.
+    const LigerInference::CacheStats &C = Inference.cacheStats();
+    EXPECT_EQ(C.StateMisses, 7u);
+    EXPECT_EQ(C.StateHits, 1u);
+    EXPECT_EQ(C.StateCellSteps, 4u + 15u);
+    EXPECT_EQ(C.StmtMisses, 3u);
+    EXPECT_EQ(C.StmtHits, 1u);
+
+    GraphArena::current().reset();
+    EXPECT_EQ(Inference.predictName(Sample.Traces), Net.predict(Sample));
+    EXPECT_EQ(Inference.cacheStats().StateCellSteps, 19u)
+        << "a warm request steps no cell";
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -294,19 +467,6 @@ ServeConfig tinyServeConfig() {
   return Config;
 }
 
-const char *SpinSource = "int spinner(int x) {\n"
-                         "  int spin3 = 0;\n"
-                         "  while (spin3 == 0) { spin3 = spin3 * 1; }\n"
-                         "  return spin3;\n"
-                         "}\n";
-const char *SumSource = "int sumAll(int[] xs) {\n"
-                        "  int s = 0;\n"
-                        "  for (int i = 0; i < len(xs); i = i + 1) {\n"
-                        "    s = s + xs[i];\n"
-                        "  }\n"
-                        "  return s;\n"
-                        "}\n";
-
 } // namespace
 
 TEST(ServeStatusTest, PipelineFiltersMapToStatuses) {
@@ -350,6 +510,102 @@ TEST(ServeDeadlineTest, TinyDeadlineSurfacesAsDistinctStatus) {
   EXPECT_TRUE(Out[0].NameSubtokens.empty());
   EXPECT_NE(Out[0].Diagnostic.find("deadline"), std::string::npos);
   EXPECT_EQ(Engine.stats().DeadlineExceeded, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Serve stats
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+bool sameCounters(const LigerInference::CacheStats &A,
+                  const LigerInference::CacheStats &B) {
+  return A.StmtHits == B.StmtHits && A.StmtMisses == B.StmtMisses &&
+         A.StateHits == B.StateHits && A.StateMisses == B.StateMisses &&
+         A.StateCellSteps == B.StateCellSteps;
+}
+
+} // namespace
+
+TEST(ServeStatsTest, ReturnEmbeddingEncodesOnce) {
+  ServeConfig Plain = tinyServeConfig();
+  ServeConfig WithEmbedding = tinyServeConfig();
+  WithEmbedding.ReturnEmbedding = true;
+  ServeEngine NoEmb(Plain), Emb(WithEmbedding);
+  ServeRequest Req{"sumAll", SumSource, 0};
+  ServeResponse Named = NoEmb.handle(Req);
+  ServeResponse Embedded = Emb.handle(Req);
+  ASSERT_EQ(Embedded.Status, ServeStatus::Ok);
+  EXPECT_EQ(Embedded.NameSubtokens, Named.NameSubtokens);
+  EXPECT_TRUE(Named.Embedding.empty());
+
+  // The emitted embedding is encode() of the request's own traces.
+  DiagnosticSink Diags;
+  std::optional<Program> Parsed = parseAndCheck(Req.Source, Diags);
+  ASSERT_TRUE(Parsed);
+  const FunctionDecl *Fn = Parsed->findFunction(Req.MethodName);
+  ASSERT_NE(Fn, nullptr);
+  TestGenOptions Gen = WithEmbedding.Scale.traceGenOptions();
+  Gen.Seed = serveTraceSeed(Req, WithEmbedding.Scale.Seed);
+  MethodTraces Traces =
+      collectTracesCached(*Parsed, *Fn, Req.Source, Gen, nullptr);
+  LigerInference Fresh(Emb.weightImage(), Emb.jointVocab(),
+                       &Emb.targetVocab(), Emb.modelConfig());
+  const float *Want = Fresh.encode(Traces);
+  ASSERT_EQ(Embedded.Embedding.size(), Emb.modelConfig().Hidden);
+  EXPECT_EQ(std::memcmp(Embedded.Embedding.data(), Want,
+                        Emb.modelConfig().Hidden * sizeof(float)),
+            0);
+
+  // One encode per request: the counters match the plain request's.
+  EXPECT_TRUE(sameCounters(Emb.stats().Embeddings, NoEmb.stats().Embeddings));
+  EXPECT_TRUE(sameCounters(Emb.stats().Embeddings, Fresh.cacheStats()));
+}
+
+TEST(ServeStatsTest, StatsDuringBatchMatchSingleEngineTotals) {
+  std::vector<ServeRequest> Burst;
+  for (const TaskSpec &Task : taskLibrary()) {
+    if (Burst.size() == 12)
+      break;
+    std::string Name = "stats" + Task.Key;
+    Burst.push_back(
+        {Name, replaceIdentifier(Task.Variants[0].Source, "FN", Name), 0});
+  }
+
+  ServeConfig Inline = tinyServeConfig();
+  Inline.Workers = 0;
+  ServeEngine One(Inline);
+  One.handleBatch(Burst);
+  LigerInference::CacheStats Want = One.stats().Embeddings;
+  ASSERT_GT(Want.StateHits + Want.StateMisses, 0u);
+
+  ServeConfig Pooled = tinyServeConfig();
+  Pooled.Workers = 4;
+  ServeEngine Many(Pooled);
+  std::atomic<bool> Done{false};
+  std::atomic<uint64_t> Regressions{0};
+  // stats() may be polled while other threads hold engines leased; the
+  // totals it reports only ever grow.
+  std::thread Poller([&] {
+    uint64_t Last = 0;
+    while (!Done.load()) {
+      LigerInference::CacheStats C = Many.stats().Embeddings;
+      uint64_t Lookups = C.StmtHits + C.StmtMisses + C.StateHits +
+                         C.StateMisses;
+      if (Lookups < Last)
+        Regressions.fetch_add(1);
+      Last = Lookups;
+    }
+  });
+  Many.handleBatch(Burst);
+  Done.store(true);
+  Poller.join();
+  EXPECT_EQ(Regressions.load(), 0u);
+
+  LigerInference::CacheStats Got = Many.stats().Embeddings;
+  EXPECT_EQ(Got.StmtHits + Got.StmtMisses, Want.StmtHits + Want.StmtMisses);
+  EXPECT_EQ(Got.StateHits + Got.StateMisses,
+            Want.StateHits + Want.StateMisses);
 }
 
 //===----------------------------------------------------------------------===//

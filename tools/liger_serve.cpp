@@ -127,7 +127,7 @@ void printStats(const ServeStats &S) {
               "no-such-method=%llu too-small=%llu no-traces=%llu "
               "deadline-exceeded=%llu trace-hits=%llu trace-misses=%llu "
               "stmt-hits=%llu stmt-misses=%llu state-hits=%llu "
-              "state-misses=%llu\n",
+              "state-misses=%llu state-cell-steps=%llu\n",
               (unsigned long long)S.Requests, (unsigned long long)S.Ok,
               (unsigned long long)S.ParseErrors,
               (unsigned long long)S.NoSuchMethod,
@@ -139,7 +139,8 @@ void printStats(const ServeStats &S) {
               (unsigned long long)S.Embeddings.StmtHits,
               (unsigned long long)S.Embeddings.StmtMisses,
               (unsigned long long)S.Embeddings.StateHits,
-              (unsigned long long)S.Embeddings.StateMisses);
+              (unsigned long long)S.Embeddings.StateMisses,
+              (unsigned long long)S.Embeddings.StateCellSteps);
   std::fflush(stdout);
 }
 
