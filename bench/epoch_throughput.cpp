@@ -238,8 +238,8 @@ int main(int Argc, char **Argv) {
   std::fprintf(F, "  \"lockstep_shards\": %zu,\n", Scale.LockstepShards);
   std::fprintf(F, "  \"repeats\": %zu,\n", Repeats);
   std::fprintf(F, "  \"peak_graph_nodes\": %zu,\n", PeakNodes);
-  std::fprintf(F, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
+  std::fprintf(F, "  \"nproc\": %u,\n", std::thread::hardware_concurrency());
+  std::fprintf(F, "  \"build_type\": \"%s\",\n", LIGER_BUILD_TYPE);
   std::fprintf(F, "  \"per_sample_deterministic_across_threads\": %s,\n",
                PerSampleDeterministic ? "true" : "false");
   std::fprintf(F, "  \"batched_deterministic_across_threads\": %s,\n",

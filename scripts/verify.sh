@@ -22,6 +22,10 @@
 #   3d. sanitized lockstep training: the threaded batched-epoch
 #      equivalence suites (losses and final weights bitwise-identical
 #      across thread counts) under ASan+UBSan (DESIGN.md §14);
+#   3e. sanitized encoder prefix tries: the gradcheck through shared
+#      f1/f2 prefix nodes, lossBatch-vs-loss, and the encoder's
+#      step-count and empty-flattening equivalence with the serving
+#      engine, under ASan+UBSan (DESIGN.md §14.2);
 #   4. scalar fallback: LIGER_NATIVE_SIMD=OFF build (build-scalar) +
 #      full ctest, so the portable kernels stay green alongside the
 #      AVX2 ones;
@@ -87,7 +91,7 @@ step "sanitized gradcheck build (build-asan)"
 cmake -B "$REPO/build-asan" -S "$REPO" -DLIGER_SANITIZE=ON
 cmake --build "$REPO/build-asan" -j "$JOBS" \
   --target nn_tests testgen_tests dataset_tests interp_tests lang_tests \
-           eval_tests serve_tests liger_fuzz liger_serve
+           eval_tests serve_tests models_tests liger_fuzz liger_serve
 filtered "$REPO/build-asan/tests/nn_tests" \
   'GradCheckTest.*:GraphArenaTest.*:GradSinkTest.*:CheckpointTest.*:ParamStoreTest.*:FusedEquivalenceTest.*:AttentionEquivalenceTest.*:BatchedKernelEquivalenceTest.*'
 
@@ -109,6 +113,12 @@ step "sanitized serving: inference equivalence + shared cache + serve smoke (bui
 step "sanitized lockstep training: threaded batched-epoch equivalence (build-asan)"
 filtered "$REPO/build-asan/tests/eval_tests" \
   'TrainingIntegrationTest.LockstepThreadedEpochIsBitwise:TrainingIntegrationTest.ParallelEpochMatchesSerialBitwise'
+
+step "sanitized encoder prefix tries (build-asan)"
+filtered "$REPO/build-asan/tests/models_tests" \
+  'GradCheckTest.LigerLossSharedPrefixesGru:GradCheckTest.LigerLossSharedPrefixesLstm:BatchedLossEquivalenceTest.LigerLossBatchMatchesLoss'
+filtered "$REPO/build-asan/tests/serve_tests" \
+  'InferenceEquivalenceTest.EncoderTriesStepEachPrefixOnce:InferenceEquivalenceTest.EmptyFlatteningBitwise'
 
 step "scalar fallback build + ctest (build-scalar, LIGER_NATIVE_SIMD=OFF)"
 cmake -B "$REPO/build-scalar" -S "$REPO" -DLIGER_NATIVE_SIMD=OFF

@@ -91,32 +91,3 @@ liger::lockstepSchedule(const std::vector<size_t> &Lens) {
         Schedule[T].push_back(I);
   return Schedule;
 }
-
-std::vector<RecState>
-liger::runCellLockstep(const RecurrentCell &Cell,
-                       const std::vector<std::vector<Var>> &Seqs) {
-  std::vector<RecState> States;
-  States.reserve(Seqs.size());
-  std::vector<size_t> Lens;
-  Lens.reserve(Seqs.size());
-  for (const std::vector<Var> &Seq : Seqs) {
-    States.push_back(Cell.initial());
-    Lens.push_back(Seq.size());
-  }
-  std::vector<std::vector<size_t>> Schedule = lockstepSchedule(Lens);
-  for (size_t T = 0; T < Schedule.size(); ++T) {
-    const std::vector<size_t> &Active = Schedule[T];
-    std::vector<Var> Ins;
-    std::vector<RecState> Prev;
-    Ins.reserve(Active.size());
-    Prev.reserve(Active.size());
-    for (size_t I : Active) {
-      Ins.push_back(Seqs[I][T]);
-      Prev.push_back(States[I]);
-    }
-    std::vector<RecState> Next = Cell.stepBatch(Ins, Prev);
-    for (size_t K = 0; K < Active.size(); ++K)
-      States[Active[K]] = Next[K];
-  }
-  return States;
-}

@@ -77,16 +77,6 @@ std::vector<std::string> idsToSubtokens(const std::vector<int> &Ids,
 std::vector<std::vector<size_t>>
 lockstepSchedule(const std::vector<size_t> &Lens);
 
-/// Runs one shared recurrent cell over many variable-length sequences
-/// in lockstep: at each timestep every still-active sequence advances
-/// through one batched cell step (RecurrentCell::stepBatch), so
-/// same-timestep lanes share a matmul. Returns each sequence's final
-/// state; per-lane values are bitwise-identical to RecurrentCell::run
-/// over that sequence alone.
-std::vector<RecState>
-runCellLockstep(const RecurrentCell &Cell,
-                const std::vector<std::vector<Var>> &Seqs);
-
 } // namespace liger
 
 #endif // LIGER_MODELS_COMMON_H

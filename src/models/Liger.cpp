@@ -8,6 +8,8 @@
 
 #include "lang/AstTree.h"
 
+#include <algorithm>
+
 using namespace liger;
 
 //===----------------------------------------------------------------------===//
@@ -27,13 +29,10 @@ LigerEncoder::LigerEncoder(ParamStore &Store, const Vocabulary &JointVocab,
               "at least one feature dimension must be enabled");
 }
 
-Var LigerEncoder::lookupToken(const std::string &Token,
-                              EncodeContext &Ctx) const {
-  auto It = Ctx.TokenCache.find(Token);
-  if (It != Ctx.TokenCache.end())
-    return It->second;
-  Var E = Embed.lookup(Vocab.lookup(Token));
-  Ctx.TokenCache.emplace(Token, E);
+Var LigerEncoder::lookupToken(int Id, EncodeContext &Ctx) const {
+  Var &E = Ctx.TokenCache[Id];
+  if (!E)
+    E = Embed.lookup(Id);
   return E;
 }
 
@@ -42,8 +41,9 @@ Var LigerEncoder::embedStatement(const Stmt *S, EncodeContext &Ctx) const {
   if (It != Ctx.StmtCache.end())
     return It->second;
   AstTree Tree = buildStmtHeadTree(S);
-  Var H = StmtTree.embed(
-      Tree, [&](const std::string &Label) { return lookupToken(Label, Ctx); });
+  Var H = StmtTree.embed(Tree, [&](const std::string &Label) {
+    return lookupToken(Vocab.lookup(Label), Ctx);
+  });
   Ctx.StmtCache.emplace(S, H);
   return H;
 }
@@ -81,87 +81,112 @@ Var LigerEncoder::embedState(const ProgramState &State,
                              EncodeContext &Ctx) const {
   // Equal variable valuations embed identically; key the state by its
   // full token signature so repeated states (loop iterations, shared
-  // prefixes across executions) cost one f1/f2 run per encode.
-  std::vector<std::vector<std::string>> ValueTokens;
-  std::string Key = stateKey(State, ValueTokens);
-  auto It = Ctx.StateCache.find(Key);
-  if (It != Ctx.StateCache.end())
+  // prefixes across executions) cost one trie walk per encode.
+  StateEmbedRequest Rq{&Ctx, &State, {}, {}};
+  Rq.Key = stateKey(State, Rq.ValueTokens);
+  auto It = Ctx.States->Cache.find(Rq.Key);
+  if (It != Ctx.States->Cache.end())
     return It->second;
-
-  // Per-variable embeddings h'_{v}: primitives embed directly; object
-  // (array/struct) values run f1 over their flattened attr sequence
-  // (Eq. 3).
-  std::vector<Var> VarEmbeds;
-  VarEmbeds.reserve(State.Values.size());
-  for (size_t I = 0; I < State.Values.size(); ++I) {
-    const Value &V = State.Values[I];
-    if (V.isArray() || V.isStruct()) {
-      std::vector<Var> Inputs;
-      Inputs.reserve(ValueTokens[I].size());
-      for (const std::string &Token : ValueTokens[I])
-        Inputs.push_back(lookupToken(Token, Ctx));
-      VarEmbeds.push_back(F1.run(Inputs).back().H);
-    } else {
-      VarEmbeds.push_back(lookupToken(ValueTokens[I][0], Ctx));
-    }
-  }
-  // f2 folds variable embeddings (fixed variable order) into the state
-  // vector.
-  Var H = VarEmbeds.empty() ? constant(Tensor::zeros(Config.Hidden))
-                            : F2.run(VarEmbeds).back().H;
-  Ctx.StateCache.emplace(std::move(Key), H);
-  return H;
+  std::vector<StateEmbedRequest> Requests;
+  Requests.push_back(std::move(Rq));
+  return embedStatesBatch(Requests, *Ctx.States, Ctx.Stats)[0];
 }
 
-void LigerEncoder::embedStatesBatch(
-    std::vector<StateEmbedRequest> &Requests,
-    std::unordered_map<std::string, Var> &Cache) const {
-  // f1 lanes: one per flattened object value across every request, in
-  // request order — the order embedState walks them one state at a
-  // time — so every object value of every state shares the lockstep
-  // f1 recurrence.
-  std::vector<std::vector<Var>> F1Seqs;
+std::vector<Var>
+LigerEncoder::embedStatesBatch(std::vector<StateEmbedRequest> &Requests,
+                               StateMemo &Memo, FusionStats *Stats) const {
+  // Per-variable embeddings h'_{v}: primitives embed their token
+  // directly; object (array/struct) values run f1 over their flattened
+  // attr sequence (Eq. 3). One f1 walk per object value, in request
+  // order.
+  std::vector<TrieWalk> F1Walks;
   for (StateEmbedRequest &Rq : Requests) {
     for (size_t I = 0; I < Rq.State->Values.size(); ++I) {
       const Value &V = Rq.State->Values[I];
       if (!V.isArray() && !V.isStruct())
         continue;
-      std::vector<Var> Inputs;
-      Inputs.reserve(Rq.ValueTokens[I].size());
+      TrieWalk W{Rq.Ctx, {}};
+      W.Keys.reserve(Rq.ValueTokens[I].size());
       for (const std::string &Token : Rq.ValueTokens[I])
-        Inputs.push_back(lookupToken(Token, *Rq.Ctx));
-      F1Seqs.push_back(std::move(Inputs));
+        W.Keys.push_back(static_cast<uint64_t>(Vocab.lookup(Token)));
+      F1Walks.push_back(std::move(W));
     }
   }
-  std::vector<RecState> F1Out = runCellLockstep(F1, F1Seqs);
+  // An empty flattening ends at the f1 root (zeros).
+  std::vector<uint32_t> F1Ends =
+      walkTrie(F1, Memo.F1Trie, F1Walks, Memo, Stats);
 
-  // f2 lanes: each request's variable sequence (primitives embed
-  // directly, object values take their f1 final state).
-  std::vector<std::vector<Var>> F2Seqs;
-  std::vector<size_t> F2Req;
-  size_t F1Lane = 0;
-  for (size_t R = 0; R < Requests.size(); ++R) {
-    StateEmbedRequest &Rq = Requests[R];
-    std::vector<Var> VarEmbeds;
-    VarEmbeds.reserve(Rq.State->Values.size());
+  // f2 folds each state's variable embeddings (fixed variable order)
+  // into the state vector.
+  std::vector<TrieWalk> F2Walks;
+  F2Walks.reserve(Requests.size());
+  size_t F1Walk = 0;
+  for (StateEmbedRequest &Rq : Requests) {
+    TrieWalk W{Rq.Ctx, {}};
+    W.Keys.reserve(Rq.State->Values.size());
     for (size_t I = 0; I < Rq.State->Values.size(); ++I) {
       const Value &V = Rq.State->Values[I];
-      if (V.isArray() || V.isStruct())
-        VarEmbeds.push_back(F1Out[F1Lane++].H);
-      else
-        VarEmbeds.push_back(lookupToken(Rq.ValueTokens[I][0], *Rq.Ctx));
+      W.Keys.push_back(
+          V.isArray() || V.isStruct()
+              ? ObjectInput | F1Ends[F1Walk++]
+              : static_cast<uint64_t>(Vocab.lookup(Rq.ValueTokens[I][0])));
     }
-    if (VarEmbeds.empty()) {
-      Cache.emplace(std::move(Rq.Key), constant(Tensor::zeros(Config.Hidden)));
+    F2Walks.push_back(std::move(W));
+  }
+  std::vector<uint32_t> F2Ends =
+      walkTrie(F2, Memo.F2Trie, F2Walks, Memo, Stats);
+
+  std::vector<Var> Out;
+  Out.reserve(Requests.size());
+  for (size_t R = 0; R < Requests.size(); ++R) {
+    Var H = Memo.F2Trie.Nodes[F2Ends[R]].H;
+    Memo.Cache.emplace(std::move(Requests[R].Key), H);
+    Out.push_back(H);
+  }
+  return Out;
+}
+
+std::vector<uint32_t> LigerEncoder::walkTrie(const RecurrentCell &Cell,
+                                             PrefixTrie &Trie,
+                                             const std::vector<TrieWalk> &Walks,
+                                             const StateMemo &Memo,
+                                             FusionStats *Stats) const {
+  if (Trie.Nodes.empty())
+    Trie.Nodes.push_back(Cell.initial());
+  size_t Depth = 0;
+  for (const TrieWalk &W : Walks)
+    Depth = std::max(Depth, W.Keys.size());
+  std::vector<uint32_t> At(Walks.size(), 0);
+  std::vector<Var> Ins;
+  std::vector<RecState> Prev;
+  for (size_t D = 0; D < Depth; ++D) {
+    // A new edge takes the next node index; a walk reaching an edge
+    // another walk created this depth shares that pending node.
+    Ins.clear();
+    Prev.clear();
+    auto First = static_cast<uint32_t>(Trie.Nodes.size());
+    for (size_t W = 0; W < Walks.size(); ++W) {
+      if (D >= Walks[W].Keys.size())
+        continue;
+      uint64_t Key = Walks[W].Keys[D];
+      auto [It, Inserted] = Trie.Children.try_emplace(
+          {At[W], Key}, First + static_cast<uint32_t>(Ins.size()));
+      if (Inserted) {
+        Ins.push_back((Key & ObjectInput)
+                          ? Memo.F1Trie.Nodes[Key & ~ObjectInput].H
+                          : lookupToken(static_cast<int>(Key), *Walks[W].Ctx));
+        Prev.push_back(Trie.Nodes[At[W]]);
+      }
+      At[W] = It->second;
+    }
+    if (Ins.empty())
       continue;
-    }
-    F2Req.push_back(R);
-    F2Seqs.push_back(std::move(VarEmbeds));
+    std::vector<RecState> Next = Cell.stepBatch(Ins, Prev);
+    Trie.Nodes.insert(Trie.Nodes.end(), Next.begin(), Next.end());
+    if (Stats)
+      Stats->StateCellSteps += Next.size();
   }
-  std::vector<RecState> F2Out = runCellLockstep(F2, F2Seqs);
-  for (size_t K = 0; K < F2Seqs.size(); ++K) {
-    Cache.emplace(std::move(Requests[F2Req[K]].Key), F2Out[K].H);
-  }
+  return At;
 }
 
 Var LigerEncoder::fuseStep(const BlendedTrace &Path, size_t J,
@@ -239,7 +264,9 @@ Var LigerEncoder::encodePath(const BlendedTrace &Path, EncodeContext &Ctx,
 
 LigerEncoding LigerEncoder::encode(const MethodTraces &Traces,
                                    FusionStats *Stats) const {
+  StateMemo States;
   EncodeContext Ctx;
+  Ctx.States = &States;
   Ctx.Stats = Stats;
 
   std::vector<Var> PathEmbeddings;
@@ -268,20 +295,25 @@ LigerEncoding LigerEncoder::encode(const MethodTraces &Traces,
   return Out;
 }
 
-std::vector<LigerEncoding> LigerEncoder::encodeBatch(
-    const std::vector<const MethodTraces *> &Batch) const {
+std::vector<LigerEncoding>
+LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
+                          FusionStats *Stats) const {
   size_t B = Batch.size();
   // Statement and token caches never cross samples. State embeddings
-  // DO share one batch-scoped cache: the kind-tagged state key is
-  // injective and f1/f2 are deterministic functions of the key's token
-  // sequences and the parameters, so a state revisited by another
-  // sample reuses a node with bitwise-identical value — per-sample
-  // loss values are unchanged. Gradient flow through a shared node
-  // merges where per-sample caches would duplicate it, which only the
-  // (already order-sensitive) batched gradient accumulation can
-  // observe.
+  // DO share one batch-scoped memo (cache and prefix tries): the
+  // kind-tagged state key is injective and f1/f2 are deterministic
+  // functions of their input sequences and the parameters, so a state
+  // or prefix revisited by another sample reuses a node with
+  // bitwise-identical value — per-sample loss values are unchanged.
+  // Gradient flow through a shared node merges where per-sample memos
+  // would duplicate it, which only the (already order-sensitive)
+  // batched gradient accumulation can observe.
+  StateMemo BatchStates;
   std::vector<EncodeContext> Ctxs(B);
-  std::unordered_map<std::string, Var> BatchStateCache;
+  for (EncodeContext &Ctx : Ctxs) {
+    Ctx.States = &BatchStates;
+    Ctx.Stats = Stats;
+  }
 
   // One lane per eligible blended trace, in sample-major order.
   struct Lane {
@@ -324,19 +356,19 @@ std::vector<LigerEncoding> LigerEncoder::encodeBatch(
   struct PendingSlot {
     size_t LaneIdx;
     size_t CompIdx;
-    std::string Key;
   };
   std::vector<std::vector<Var>> LaneStates(Lanes.size());
   std::vector<StateEmbedRequest> Requests;
-  std::vector<PendingSlot> Pending;
+  std::vector<PendingSlot> Pending; ///< Pending[K] awaits Requests[K].
   std::vector<size_t> Active;
   std::vector<Var> Ins;
   std::vector<RecState> PrevStates;
   for (size_t J = 0; J < MaxSteps; ++J) {
     // Resolve the round's state components up front: cached states
-    // fill their lane slots directly, the rest are gathered (deduped
-    // per sample) and embedded through lockstep-batched f1/f2 runs,
-    // then patched into the slots they came from.
+    // fill their lane slots directly, the rest are embedded through one
+    // depth-by-depth walk of the batch's f1/f2 tries (a state requested
+    // twice walks shared edges, so it costs no extra step), then
+    // patched into the slots they came from.
     for (std::vector<Var> &Slots : LaneStates)
       Slots.clear();
     Requests.clear();
@@ -345,33 +377,30 @@ std::vector<LigerEncoding> LigerEncoder::encodeBatch(
       Lane &L = Lanes[Li];
       if (J >= L.Steps)
         continue;
-      EncodeContext &Ctx = Ctxs[L.Sample];
       for (size_t T = 0; T < L.NumConcrete; ++T) {
         const StateTrace &States = L.Path->Concrete[T];
         if (J >= States.States.size() || States.States[J].Values.empty())
           continue;
         StateEmbedRequest Rq;
-        Rq.Ctx = &Ctx;
+        Rq.Ctx = &Ctxs[L.Sample];
         Rq.State = &States.States[J];
         Rq.Key = stateKey(*Rq.State, Rq.ValueTokens);
-        auto It = BatchStateCache.find(Rq.Key);
-        if (It != BatchStateCache.end()) {
+        auto It = BatchStates.Cache.find(Rq.Key);
+        if (It != BatchStates.Cache.end()) {
           LaneStates[Li].push_back(It->second);
           continue;
         }
         LaneStates[Li].push_back(nullptr);
-        Pending.push_back({Li, LaneStates[Li].size() - 1, Rq.Key});
-        bool Queued = false;
-        for (const StateEmbedRequest &Prev : Requests)
-          Queued |= Prev.Key == Rq.Key;
-        if (!Queued)
-          Requests.push_back(std::move(Rq));
+        Pending.push_back({Li, LaneStates[Li].size() - 1});
+        Requests.push_back(std::move(Rq));
       }
     }
-    if (!Requests.empty())
-      embedStatesBatch(Requests, BatchStateCache);
-    for (PendingSlot &Slot : Pending)
-      LaneStates[Slot.LaneIdx][Slot.CompIdx] = BatchStateCache.at(Slot.Key);
+    if (!Requests.empty()) {
+      std::vector<Var> Embedded =
+          embedStatesBatch(Requests, BatchStates, Stats);
+      for (size_t K = 0; K < Pending.size(); ++K)
+        LaneStates[Pending[K].LaneIdx][Pending[K].CompIdx] = Embedded[K];
+    }
 
     Active.clear();
     Ins.clear();

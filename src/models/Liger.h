@@ -36,7 +36,11 @@
 #include "models/Common.h"
 #include "models/Decoder.h"
 
+#include <cstdint>
+#include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace liger {
 
@@ -56,11 +60,15 @@ struct LigerConfig {
   size_t MaxDecodeLen = 8;
 };
 
-/// Attention introspection for §6.1.2: average fusion weight assigned
-/// to the symbolic (static) feature vector.
+/// Attention introspection for §6.1.2 (average fusion weight assigned
+/// to the symbolic (static) feature vector), plus the state-embedding
+/// work an encode took.
 struct FusionStats {
   double StaticWeightSum = 0;
   size_t FusionSteps = 0;
+  /// f1 + f2 graph steps taken on state-cache misses: one per distinct
+  /// object-value or variable prefix of the encode (DESIGN.md §14.2).
+  size_t StateCellSteps = 0;
 
   double staticMean() const {
     return FusionSteps == 0 ? 0.0 : StaticWeightSum / FusionSteps;
@@ -82,7 +90,8 @@ public:
                const LigerConfig &Config, Rng &R);
 
   /// Encodes one method's blended traces. When \p Stats is non-null,
-  /// fusion attention weights are accumulated into it.
+  /// fusion attention weights and state cell steps are accumulated into
+  /// it.
   LigerEncoding encode(const MethodTraces &Traces,
                        FusionStats *Stats = nullptr) const;
 
@@ -94,30 +103,54 @@ public:
   /// bitwise-identical to encode(); only node creation order — and so
   /// gradient accumulation order across lanes — follows the
   /// timestep-major schedule SeqDecoder::lossBatch already uses. State
-  /// embeddings share one cache across the whole batch.
+  /// embeddings share one cache and one pair of prefix tries across the
+  /// whole batch; \p Stats (optional) accumulates over every sample.
   std::vector<LigerEncoding>
-  encodeBatch(const std::vector<const MethodTraces *> &Batch) const;
+  encodeBatch(const std::vector<const MethodTraces *> &Batch,
+              FusionStats *Stats = nullptr) const;
 
   const LigerConfig &config() const { return Config; }
 
 private:
-  /// Per-forward-pass caches (statement embeddings recur across loop
-  /// iterations; token embeddings recur everywhere).
+  /// Memo of one state cell (f1 or f2) over the states of one encode:
+  /// node 0 is the cell's initial state, and the child of node P along
+  /// input key K holds Cell.step(input(K), node P). A key is a token id
+  /// (f1 inputs, primitive f2 inputs) or ObjectInput | f1 node (an
+  /// object's f2 input), so equal keys mean bitwise-equal inputs and a
+  /// shared node has exactly the value of every chain it stands for.
+  struct PrefixTrie {
+    using Edge = std::pair<uint32_t, uint64_t>; ///< (parent, input key)
+    struct EdgeHash {
+      size_t operator()(const Edge &E) const {
+        return std::hash<uint64_t>()(E.second) * 31 + E.first;
+      }
+    };
+    std::vector<RecState> Nodes;
+    std::unordered_map<Edge, uint32_t, EdgeHash> Children;
+  };
+  static constexpr uint64_t ObjectInput = uint64_t(1) << 63;
+
+  /// State embeddings of one encode (one sample for encode, the whole
+  /// batch for encodeBatch). Equal states (by stateKey) share one node;
+  /// states that miss walk the f1/f2 prefix tries, so each distinct
+  /// object-value prefix and variable prefix is one graph step.
+  struct StateMemo {
+    std::unordered_map<std::string, Var> Cache;
+    PrefixTrie F1Trie, F2Trie;
+  };
+
+  /// Per-forward-pass caches: statement embeddings recur across loop
+  /// iterations, token embeddings (keyed by vocabulary id) everywhere.
   struct EncodeContext {
     std::unordered_map<const Stmt *, Var> StmtCache;
-    std::unordered_map<std::string, Var> TokenCache;
-    /// State embeddings keyed by the state's full token signature:
-    /// concrete executions of the same path revisit identical variable
-    /// valuations constantly (loop iterations, repeated inputs), and
-    /// the f1/f2 recurrences over equal token sequences produce the
-    /// same graph value, so equal states share one node.
-    std::unordered_map<std::string, Var> StateCache;
+    std::unordered_map<int, Var> TokenCache;
+    StateMemo *States = nullptr;
     FusionStats *Stats = nullptr;
   };
 
-  /// One state an encodeBatch round still needs embedded: the owning
-  /// sample's context (for its token cache), the state, and its
-  /// precomputed cache key and per-variable token sequences.
+  /// One state still to embed: the owning sample's context (for its
+  /// token cache), the state, and its cache key and per-variable token
+  /// sequences.
   struct StateEmbedRequest {
     EncodeContext *Ctx;
     const ProgramState *State;
@@ -125,7 +158,14 @@ private:
     std::vector<std::vector<std::string>> ValueTokens;
   };
 
-  Var lookupToken(const std::string &Token, EncodeContext &Ctx) const;
+  /// One walk down a prefix trie: its input keys, resolved against the
+  /// token cache of \p Ctx where the trie lacks an edge.
+  struct TrieWalk {
+    EncodeContext *Ctx;
+    std::vector<uint64_t> Keys;
+  };
+
+  Var lookupToken(int Id, EncodeContext &Ctx) const;
   Var embedStatement(const Stmt *S, EncodeContext &Ctx) const;
   /// Computes a state's cache key and fills \p ValueTokens with each
   /// variable's flattened token sequence (truncated to
@@ -134,12 +174,21 @@ private:
   stateKey(const ProgramState &State,
            std::vector<std::vector<std::string>> &ValueTokens) const;
   Var embedState(const ProgramState &State, EncodeContext &Ctx) const;
-  /// Embeds every requested state through lockstep-batched f1/f2 runs
-  /// (runCellLockstep) and parks the results in \p Cache under each
-  /// request's key; per-state values are bitwise-identical to
-  /// embedState.
-  void embedStatesBatch(std::vector<StateEmbedRequest> &Requests,
-                        std::unordered_map<std::string, Var> &Cache) const;
+  /// Embeds every requested state by walking the prefix tries of
+  /// \p Memo (f1 over each object value's tokens, then f2 over each
+  /// state's variable inputs), caches each result under its request's
+  /// key, and returns the embeddings in request order.
+  std::vector<Var> embedStatesBatch(std::vector<StateEmbedRequest> &Requests,
+                                    StateMemo &Memo,
+                                    FusionStats *Stats) const;
+  /// Advances every walk through \p Trie depth by depth. At each depth
+  /// the edges the trie lacks (deduplicated across walks) run as one
+  /// Cell.stepBatch; edges it holds cost no step. Returns each walk's
+  /// final node.
+  std::vector<uint32_t> walkTrie(const RecurrentCell &Cell, PrefixTrie &Trie,
+                                 const std::vector<TrieWalk> &Walks,
+                                 const StateMemo &Memo,
+                                 FusionStats *Stats) const;
   /// Fuses step \p J of one path (statement + state components through
   /// the fusion rule) or returns null when the step has no components.
   /// When \p StateComps is non-null it supplies the step's state

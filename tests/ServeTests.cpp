@@ -249,46 +249,66 @@ ProgramState state(Value Xs, int64_t I, int64_t S) {
 
 } // namespace
 
-TEST(InferenceEquivalenceTest, RequestTriesRunEachPrefixOnce) {
+namespace {
+
+/// One path of four steps (the loop statement twice) and two
+/// executions over (xs, i, s). The array repeats under changing
+/// scalars, [3, 1] is a prefix of [3, 1, 2], and the executions share
+/// variable prefixes. Seven distinct states (B's first repeats A's):
+/// f1 steps the token prefixes 3 / 3 1 / 3 1 2 / 5; f2 steps every
+/// distinct variable prefix: 3 (A0) + 2 (A1) + 2 (A2) + 3 (A3, new
+/// array node) + 1 (B1) + 3 (B2) + 1 (B3). Re-running f1/f2 per miss
+/// would take 39 steps.
+struct SharedPrefixTrace {
   ExperimentScale Scale = tinyScale();
   NameTask Task = buildNameTask(Scale, /*Large=*/false);
-  for (const char *Token : {"0", "1", "2", "3", "4", "5", "6"})
-    ASSERT_NE(Task.Joint.lookup(Token), Vocabulary::Unk) << Token;
-
-  DiagnosticSink Diags;
-  std::optional<Program> Parsed = parseAndCheck(SumSource, Diags);
-  ASSERT_TRUE(Parsed);
-  const FunctionDecl *Fn = Parsed->findFunction("sumAll");
-  ASSERT_TRUE(Fn && Fn->Body);
-  const std::vector<const Stmt *> &Body = cast<BlockStmt>(Fn->Body)->body();
-  ASSERT_EQ(Body.size(), 3u); // decl, for, return
-
-  // One path of four steps (the loop statement twice) and two
-  // executions over (xs, i, s). The array repeats under changing
-  // scalars, [3, 1] is a prefix of [3, 1, 2], and the executions share
-  // variable prefixes.
+  std::optional<Program> Parsed;
   MethodSample Sample;
-  Sample.Fn = Fn;
-  Sample.Traces.Fn = Fn;
-  Sample.Traces.VarNames = {"xs", "i", "s"};
-  BlendedTrace Path;
-  for (const Stmt *S : {Body[0], Body[1], Body[1], Body[2]})
-    Path.Symbolic.Steps.push_back({S, StepKind::Plain});
-  StateTrace A, B;
-  A.States = {state(intArray({3, 1, 2}), 0, 0),
-              state(intArray({3, 1, 2}), 1, 3),
-              state(intArray({3, 1, 2}), 2, 4), state(intArray({3, 1}), 2, 4)};
-  B.States = {state(intArray({3, 1, 2}), 0, 0),
-              state(intArray({3, 1, 2}), 1, 5), state(intArray({5}), 2, 4),
-              state(intArray({3, 1, 2}), 2, 6)};
-  Path.Concrete = {A, B};
-  Sample.Traces.Paths.push_back(Path);
+
+  void build() {
+    for (const char *Token : {"0", "1", "2", "3", "4", "5", "6"})
+      ASSERT_NE(Task.Joint.lookup(Token), Vocabulary::Unk) << Token;
+
+    DiagnosticSink Diags;
+    Parsed = parseAndCheck(SumSource, Diags);
+    ASSERT_TRUE(Parsed);
+    const FunctionDecl *Fn = Parsed->findFunction("sumAll");
+    ASSERT_TRUE(Fn && Fn->Body);
+    const std::vector<const Stmt *> &Body =
+        cast<BlockStmt>(Fn->Body)->body();
+    ASSERT_EQ(Body.size(), 3u); // decl, for, return
+
+    Sample.Fn = Fn;
+    Sample.Traces.Fn = Fn;
+    Sample.Traces.VarNames = {"xs", "i", "s"};
+    BlendedTrace Path;
+    for (const Stmt *S : {Body[0], Body[1], Body[1], Body[2]})
+      Path.Symbolic.Steps.push_back({S, StepKind::Plain});
+    StateTrace A, B;
+    A.States = {state(intArray({3, 1, 2}), 0, 0),
+                state(intArray({3, 1, 2}), 1, 3),
+                state(intArray({3, 1, 2}), 2, 4),
+                state(intArray({3, 1}), 2, 4)};
+    B.States = {state(intArray({3, 1, 2}), 0, 0),
+                state(intArray({3, 1, 2}), 1, 5), state(intArray({5}), 2, 4),
+                state(intArray({3, 1, 2}), 2, 6)};
+    Path.Concrete = {A, B};
+    Sample.Traces.Paths.push_back(Path);
+  }
+};
+
+} // namespace
+
+TEST(InferenceEquivalenceTest, RequestTriesRunEachPrefixOnce) {
+  SharedPrefixTrace F;
+  ASSERT_NO_FATAL_FAILURE(F.build());
+  const MethodSample &Sample = F.Sample;
 
   for (CellKind Cell : {CellKind::Gru, CellKind::Lstm, CellKind::Rnn}) {
     LigerConfig Config = tinyConfig(Cell);
-    LigerNamePredictor Net(Task.Joint, Task.Target, Config, Scale.Seed);
+    LigerNamePredictor Net(F.Task.Joint, F.Task.Target, Config, F.Scale.Seed);
     WeightImage Image = WeightImage::fromStore(Net.params());
-    LigerInference Inference(Image, Task.Joint, &Task.Target, Config);
+    LigerInference Inference(Image, F.Task.Joint, &F.Task.Target, Config);
 
     GraphArena Arena;
     GraphArena::Scope Scope(Arena);
@@ -298,11 +318,7 @@ TEST(InferenceEquivalenceTest, RequestTriesRunEachPrefixOnce) {
                           Config.Hidden * sizeof(float)),
               0);
 
-    // Seven distinct states (B's first repeats A's). f1 steps the
-    // token prefixes 3 / 3 1 / 3 1 2 / 5; f2 steps every distinct
-    // variable prefix: 3 (A0) + 2 (A1) + 2 (A2) + 3 (A3, new array
-    // node) + 1 (B1) + 3 (B2) + 1 (B3). Re-running f1/f2 per miss
-    // would take 39 steps.
+    // See SharedPrefixTrace for the counts.
     const LigerInference::CacheStats &C = Inference.cacheStats();
     EXPECT_EQ(C.StateMisses, 7u);
     EXPECT_EQ(C.StateHits, 1u);
@@ -314,6 +330,71 @@ TEST(InferenceEquivalenceTest, RequestTriesRunEachPrefixOnce) {
     EXPECT_EQ(Inference.predictName(Sample.Traces), Net.predict(Sample));
     EXPECT_EQ(Inference.cacheStats().StateCellSteps, 19u)
         << "a warm request steps no cell";
+  }
+}
+
+TEST(InferenceEquivalenceTest, EncoderTriesStepEachPrefixOnce) {
+  // The autodiff encoder walks the same two prefix tries as a cold
+  // engine request, so it takes exactly the engine's f1 + f2 steps —
+  // per sample, and at batch scope over two copies of the trace.
+  SharedPrefixTrace F;
+  ASSERT_NO_FATAL_FAILURE(F.build());
+  const MethodTraces &Traces = F.Sample.Traces;
+
+  for (CellKind Cell : {CellKind::Gru, CellKind::Lstm, CellKind::Rnn}) {
+    LigerConfig Config = tinyConfig(Cell);
+    LigerNamePredictor Net(F.Task.Joint, F.Task.Target, Config, F.Scale.Seed);
+    WeightImage Image = WeightImage::fromStore(Net.params());
+    LigerInference Inference(Image, F.Task.Joint, &F.Task.Target, Config);
+
+    GraphArena Arena;
+    GraphArena::Scope Scope(Arena);
+    const float *Embedding = Inference.encode(Traces);
+    FusionStats Stats;
+    LigerEncoding Enc = Net.encoder().encode(Traces, &Stats);
+    ASSERT_EQ(std::memcmp(Embedding, Enc.ProgramEmbedding->Value.data(),
+                          Config.Hidden * sizeof(float)),
+              0);
+    EXPECT_EQ(Stats.StateCellSteps, Inference.cacheStats().StateCellSteps);
+    EXPECT_EQ(Stats.StateCellSteps, 19u);
+
+    FusionStats BatchStats;
+    std::vector<LigerEncoding> Encs =
+        Net.encoder().encodeBatch({&Traces, &Traces}, &BatchStats);
+    ASSERT_EQ(Encs.size(), 2u);
+    for (const LigerEncoding &E : Encs)
+      EXPECT_EQ(std::memcmp(Embedding, E.ProgramEmbedding->Value.data(),
+                            Config.Hidden * sizeof(float)),
+                0);
+    EXPECT_EQ(BatchStats.StateCellSteps, 19u);
+  }
+}
+
+TEST(InferenceEquivalenceTest, EmptyFlatteningBitwise) {
+  // With MaxFlattenedValues = 0 every object value's f1 walk ends at
+  // the f1 root (zeros) in both runtimes.
+  SharedPrefixTrace F;
+  ASSERT_NO_FATAL_FAILURE(F.build());
+  const MethodTraces &Traces = F.Sample.Traces;
+
+  for (CellKind Cell : {CellKind::Gru, CellKind::Lstm}) {
+    LigerConfig Config = tinyConfig(Cell);
+    Config.MaxFlattenedValues = 0;
+    LigerNamePredictor Net(F.Task.Joint, F.Task.Target, Config, F.Scale.Seed);
+    WeightImage Image = WeightImage::fromStore(Net.params());
+    LigerInference Inference(Image, F.Task.Joint, &F.Task.Target, Config);
+
+    GraphArena Arena;
+    GraphArena::Scope Scope(Arena);
+    const float *Embedding = Inference.encode(Traces);
+    FusionStats Stats;
+    LigerEncoding Enc = Net.encoder().encode(Traces, &Stats);
+    ASSERT_EQ(std::memcmp(Embedding, Enc.ProgramEmbedding->Value.data(),
+                          Config.Hidden * sizeof(float)),
+              0);
+    EXPECT_EQ(Stats.StateCellSteps, Inference.cacheStats().StateCellSteps);
+
+    expectForwardEquivalence(Config);
   }
 }
 
