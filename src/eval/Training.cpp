@@ -33,20 +33,30 @@ void restoreParams(ParamStore &Store, const std::vector<Tensor> &Snapshot) {
     Store.params()[I]->Value = Snapshot[I];
 }
 
-/// Shared epoch loop: shuffled mini-batches, mean loss, Adam step.
+/// The epoch loop: shuffled mini-batches, mean loss, Adam step.
 ///
-/// Each sample in a batch is processed independently — its graph is
-/// built and differentiated into a per-sample GradSink, and its arena
-/// is reset immediately afterwards — so the samples of a batch can run
-/// on pool workers concurrently (parameters are read-only during the
-/// batch). The calling thread then reduces the sinks in sample-index
-/// order, scales by 1/B, and steps Adam once. Because the per-sample
-/// work and the reduction order are independent of which thread ran
-/// which sample, the result is bitwise-identical for any thread count.
-template <typename LossFn>
+/// Each mini-batch of B samples is split into min(Shards, B) contiguous
+/// sample shards. A shard's graph is the model's BatchLossFn over the
+/// shard's samples; it is differentiated once, from the sum of the
+/// shard's per-sample losses, into the shard's GradSink, and the arena
+/// it was built on is reset right afterwards. Shards are the units the
+/// ThreadPool distributes (parameters are read-only during a batch):
+/// each worker builds its shard on its own thread-routed arena. The
+/// calling thread then reduces the shard sinks in shard (= sample)
+/// order, scales by 1/B, and steps Adam once. The partition depends
+/// only on B and Shards, never on Threads, so losses, gradients and
+/// final weights are bitwise-identical for any thread count.
+///
+/// One backward per shard over its summed loss — not one per sample —
+/// is load-bearing: a shard's samples share graph nodes (batched cell
+/// steps, cross-sample state embeddings, and non-parameter node
+/// gradients persist within an arena generation), so per-sample
+/// backwards over the shared graph would double-count every shared
+/// subgraph. Different shard counts order gradient accumulation
+/// differently, so they are not bitwise comparable with each other.
 double runEpoch(const std::vector<MethodSample> &Train, size_t BatchSize,
-                const LossFn &Loss, ParamStore &Store, Adam &Opt, Rng &R,
-                ThreadPool *Pool, size_t EpochIndex,
+                size_t Shards, const BatchLossFn &Loss, ParamStore &Store,
+                Adam &Opt, Rng &R, ThreadPool *Pool, size_t EpochIndex,
                 const std::function<void(size_t, size_t)> &StepHook) {
   std::vector<size_t> Order(Train.size());
   for (size_t I = 0; I < Order.size(); ++I)
@@ -54,81 +64,9 @@ double runEpoch(const std::vector<MethodSample> &Train, size_t BatchSize,
   R.shuffle(Order);
 
   // Serial (and pool-of-zero) execution runs inline on this thread;
-  // scope a dedicated arena so per-sample resets cannot clobber graph
+  // scope a dedicated arena so per-shard resets cannot clobber graph
   // nodes the caller may hold on the thread's default arena. Pool
   // workers fall back to their own per-thread default arenas.
-  GraphArena EpochArena;
-  GraphArena::Scope EpochScope(EpochArena);
-
-  size_t MaxBatch = std::min(BatchSize, Order.size());
-  std::vector<GradSink> Sinks(MaxBatch);
-  std::vector<double> SampleLoss(MaxBatch);
-
-  double EpochLoss = 0;
-  for (size_t Begin = 0; Begin < Order.size(); Begin += BatchSize) {
-    size_t B = std::min(Order.size(), Begin + BatchSize) - Begin;
-    auto Work = [&](size_t K) {
-      // Clearing here (not after the reduction) returns the sink's
-      // buffers to the pool of the thread that will refill it.
-      Sinks[K].clear();
-      Var SampleVar = Loss(Train[Order[Begin + K]]);
-      SampleLoss[K] = static_cast<double>(SampleVar->Value[0]);
-      backward(SampleVar, Sinks[K]);
-      GraphArena::current().reset();
-    };
-    if (Pool)
-      Pool->run(B, Work);
-    else
-      for (size_t K = 0; K < B; ++K)
-        Work(K);
-
-    for (size_t K = 0; K < B; ++K) {
-      Store.accumulateSink(Sinks[K]);
-      EpochLoss += SampleLoss[K];
-    }
-    Store.scaleGrads(1.0f / static_cast<float>(B));
-    Opt.step();
-    if (StepHook)
-      StepHook(EpochIndex, Begin / BatchSize);
-  }
-  return Order.empty() ? 0.0 : EpochLoss / static_cast<double>(Order.size());
-}
-
-/// Batched-sample epoch loop: each mini-batch is split into
-/// LockstepShards contiguous sample shards, each built as its own
-/// combined lockstep graph (the model's BatchLossFn over the shard's
-/// samples), differentiated once from the sum of the shard's
-/// per-sample losses into the shard's sink. Shards are the units the
-/// ThreadPool distributes — each worker builds its shard's graph on
-/// its own thread-routed arena — and the calling thread reduces the
-/// shard sinks in shard (= sample) order before scaling by 1/B, so
-/// the parameter update matches runEpoch's mean-gradient semantics
-/// and is bitwise-identical for any thread count (the shard partition
-/// depends only on B, never on Threads).
-///
-/// One backward per shard over its summed loss — not one per sample —
-/// is load-bearing: the shard's samples share graph nodes (batch cell
-/// steps, cross-sample state embeddings, and non-parameter node
-/// gradients persist within an arena generation), so repeated
-/// per-sample backwards over the combined graph would double-count
-/// every shared subgraph. The mode is deterministic but orders
-/// gradient accumulation differently from the per-sample-sink mode
-/// (and one shard count differently from another), so those variants
-/// are not bitwise comparable with each other.
-double runEpochBatched(const std::vector<MethodSample> &Train,
-                       size_t BatchSize, size_t Shards,
-                       const BatchLossFn &Loss, ParamStore &Store, Adam &Opt,
-                       Rng &R, ThreadPool *Pool, size_t EpochIndex,
-                       const std::function<void(size_t, size_t)> &StepHook) {
-  std::vector<size_t> Order(Train.size());
-  for (size_t I = 0; I < Order.size(); ++I)
-    Order[I] = I;
-  R.shuffle(Order);
-
-  // Serial (and pool-of-zero) execution runs inline on this thread on
-  // a dedicated scoped arena; pool workers use their own per-thread
-  // default arenas. Either way every shard resets the arena it built
-  // on right after its backward.
   GraphArena EpochArena;
   GraphArena::Scope EpochScope(EpochArena);
 
@@ -142,7 +80,9 @@ double runEpochBatched(const std::vector<MethodSample> &Train,
     size_t S = std::min(MaxShards, B);
     auto Work = [&](size_t K) {
       // Contiguous shard [Begin + Lo, Begin + Hi) of the shuffled
-      // batch; the bounds are a pure function of (B, S, K).
+      // batch; the bounds are a pure function of (B, S, K). Clearing
+      // the sink here (not after the reduction) returns its buffers to
+      // the pool of the thread that will refill it.
       size_t Lo = K * B / S, Hi = (K + 1) * B / S;
       Sinks[K].clear();
       std::vector<const MethodSample *> Group;
@@ -156,8 +96,7 @@ double runEpochBatched(const std::vector<MethodSample> &Train,
       for (const Var &L : SampleLosses)
         Total += static_cast<double>(L->Value[0]);
       ShardLoss[K] = Total;
-      Var Sum = sumV(stackScalars(SampleLosses));
-      backward(Sum, Sinks[K]);
+      backward(sumV(stackScalars(SampleLosses)), Sinks[K]);
       GraphArena::current().reset();
     };
     if (Pool)
@@ -178,6 +117,15 @@ double runEpochBatched(const std::vector<MethodSample> &Train,
   return Order.empty() ? 0.0 : EpochLoss / static_cast<double>(Order.size());
 }
 
+/// \p Loss as a BatchLossFn over groups of one sample.
+BatchLossFn groupOfOne(std::function<Var(const MethodSample &)> Loss) {
+  return [Loss = std::move(Loss)](
+             const std::vector<const MethodSample *> &Group) {
+    LIGER_CHECK(Group.size() == 1, "per-sample loss hook takes one sample");
+    return std::vector<Var>{Loss(*Group[0])};
+  };
+}
+
 /// The worker pool for \p Options, or null for inline execution.
 std::unique_ptr<ThreadPool> makePool(const TrainOptions &Options) {
   if (Options.Threads <= 1)
@@ -195,11 +143,14 @@ std::unique_ptr<ThreadPool> makePool(const TrainOptions &Options) {
 /// the end of a checkpointed epoch and captures everything the loop
 /// consumes — parameters, Adam moments + step count, the shuffle Rng
 /// state, the epoch cursor, and the best-snapshot bookkeeping. Since
-/// epochs are deterministic for any thread count (per-sample sinks
-/// reduced in sample order), restoring that state and rerunning the
-/// remaining epochs is bitwise-identical to never having stopped.
-template <typename LossFn, typename ValidateFn>
-TrainResult runTrainingLoop(const LossFn &Loss, const BatchLossFn &BatchLoss,
+/// epochs are deterministic for any thread count (shard sinks reduced
+/// in shard order), restoring that state and rerunning the remaining
+/// epochs is bitwise-identical to never having stopped.
+///
+/// \p Loss builds the graph of one of the \p Shards shards of each
+/// mini-batch (see runEpoch).
+template <typename ValidateFn>
+TrainResult runTrainingLoop(const BatchLossFn &Loss, size_t Shards,
                             ParamStore &Store,
                             const std::vector<MethodSample> &Train,
                             bool TrackBest, const ValidateFn &Validate,
@@ -251,12 +202,8 @@ TrainResult runTrainingLoop(const LossFn &Loss, const BatchLossFn &BatchLoss,
   const size_t Cadence = std::max<size_t>(1, Options.CheckpointEveryEpochs);
   for (size_t Epoch = StartEpoch; Epoch < Options.Epochs; ++Epoch) {
     Result.FinalTrainLoss =
-        BatchLoss ? runEpochBatched(Train, Options.BatchSize,
-                                    Options.LockstepShards, BatchLoss, Store,
-                                    Opt, R, Pool.get(), Epoch,
-                                    Options.StepHook)
-                  : runEpoch(Train, Options.BatchSize, Loss, Store, Opt, R,
-                             Pool.get(), Epoch, Options.StepHook);
+        runEpoch(Train, Options.BatchSize, Shards, Loss, Store, Opt, R,
+                 Pool.get(), Epoch, Options.StepHook);
     if (TrackBest) {
       double Score = Validate();
       if (Score >= Result.BestValidScore) {
@@ -320,16 +267,15 @@ TrainResult liger::trainNameModel(const NameModelHooks &Hooks,
                                   const TrainOptions &Options) {
   LIGER_CHECK(Hooks.Params, "hooks must expose the parameter store");
   bool TrackBest = Options.SelectBestOnValidation && !Valid.empty();
-  // Models without a LossBatch hook (the baselines) silently train
-  // per-sample under --batched-samples, as TrainOptions documents —
+  // Models without a LossBatch hook (the baselines) train one sample
+  // per shard even under --batched-samples, as TrainOptions documents —
   // multi-model drivers pass one TrainOptions to every model.
-  BatchLossFn BatchLoss;
-  if (Options.BatchedSamples && Hooks.LossBatch)
-    BatchLoss = Hooks.LossBatch;
+  bool Lockstep = Options.BatchedSamples && Hooks.LossBatch;
   return runTrainingLoop(
-      Hooks.Loss, BatchLoss, *Hooks.Params, Train, TrackBest,
-      [&] { return evaluateNameModel(Hooks, Valid).F1; }, "valid F1",
-      Options);
+      Hooks.LossBatch ? Hooks.LossBatch : groupOfOne(Hooks.Loss),
+      Lockstep ? Options.LockstepShards : Options.BatchSize, *Hooks.Params,
+      Train, TrackBest, [&] { return evaluateNameModel(Hooks, Valid).F1; },
+      "valid F1", Options);
 }
 
 ClassScores liger::evaluateClassifier(const ClassModelHooks &Hooks,
@@ -358,7 +304,8 @@ TrainResult liger::trainClassifier(const ClassModelHooks &Hooks,
   // Classifier encodes are one-step graphs with nothing to lockstep;
   // BatchedSamples deliberately has no effect here.
   return runTrainingLoop(
-      Hooks.Loss, BatchLossFn(), *Hooks.Params, Train, TrackBest,
+      groupOfOne(Hooks.Loss), Options.BatchSize, *Hooks.Params, Train,
+      TrackBest,
       [&] { return evaluateClassifier(Hooks, Valid, NumClasses).Accuracy; },
       "valid acc", Options);
 }

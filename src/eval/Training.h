@@ -33,11 +33,12 @@ struct TrainOptions {
   /// Select the epoch with the best validation score (F1 or accuracy);
   /// requires a non-empty validation set.
   bool SelectBestOnValidation = true;
-  /// Worker threads within a mini-batch: per-sample graphs, or the
-  /// LockstepShards shard graphs under BatchedSamples. Results are
-  /// bitwise-identical for any value: every sample's (or shard's)
-  /// gradient lands in its own accumulator, and accumulators are
-  /// reduced in sample order on the calling thread. 0 or 1 = serial.
+  /// Worker threads within a mini-batch, each building and
+  /// differentiating whole shards (one sample each, or the
+  /// LockstepShards shards under BatchedSamples). Results are
+  /// bitwise-identical for any value: every shard's gradient lands in
+  /// its own accumulator, and accumulators are reduced in shard
+  /// (= sample) order on the calling thread. 0 or 1 = serial.
   size_t Threads = 1;
   /// Clip the global gradient norm before each Adam step (0 = off).
   float ClipNorm = 0.0f;
@@ -61,26 +62,28 @@ struct TrainOptions {
   /// epoch and the batch index within it (progress reporting; tests
   /// use it to kill a run mid-epoch).
   std::function<void(size_t Epoch, size_t Batch)> StepHook;
-  /// Build each mini-batch as lockstep graphs through the model's
-  /// LossBatch hook (same-timestep samples share matmul-backed batch
-  /// ops) instead of per-sample graphs. Requires the hook;
-  /// deterministic, but a distinct gradient-accumulation order from
-  /// the per-sample-sink mode, so the two modes are not bitwise
-  /// comparable. Ignored (with the per-sample path) by models without
-  /// a LossBatch hook and by the classifier driver.
+  /// The training loop splits every mini-batch into contiguous sample
+  /// shards and builds each shard as one lockstep graph through the
+  /// model's LossBatch hook (same-timestep samples share matmul-backed
+  /// batch ops); a model without the hook has its Loss called on
+  /// shards of one. By default a shard is one sample. BatchedSamples
+  /// makes it LockstepShards-th of the mini-batch instead; it needs
+  /// the hook and is ignored by models without one and by the
+  /// classifier driver. Both shard sizes are deterministic, but they
+  /// accumulate gradients in different orders, so they are not
+  /// bitwise comparable with each other.
   bool BatchedSamples = false;
-  /// Under BatchedSamples, split each mini-batch into this many
-  /// contiguous sample shards, each built and differentiated as its
-  /// own lockstep graph — the units the ThreadPool distributes when
-  /// Threads > 1. The partition depends only on the batch size (never
-  /// on Threads), and shard sinks are reduced in shard order on the
-  /// calling thread, so losses, gradients, and final weights are
-  /// bitwise-identical for any Threads value. Clamped to the batch
-  /// size; 1 = one graph per batch (the pre-sharding behavior).
+  /// Under BatchedSamples, the number of shards per mini-batch — the
+  /// units the ThreadPool distributes when Threads > 1. The partition
+  /// depends only on the batch size (never on Threads), and shard
+  /// sinks are reduced in shard order on the calling thread, so
+  /// losses, gradients, and final weights are bitwise-identical for
+  /// any Threads value. Clamped to the batch size; 1 = one graph per
+  /// mini-batch.
   size_t LockstepShards = 4;
 };
 
-/// Batched loss hook: per-sample mean losses for a whole mini-batch,
+/// Batched loss hook: per-sample mean losses for a group of samples,
 /// built as one lockstep graph (see SeqDecoder::lossBatch).
 using BatchLossFn =
     std::function<std::vector<Var>(const std::vector<const MethodSample *> &)>;
@@ -88,7 +91,8 @@ using BatchLossFn =
 /// Hooks for a method-name prediction model.
 struct NameModelHooks {
   std::function<Var(const MethodSample &)> Loss;
-  /// Optional batched variant of Loss (TrainOptions::BatchedSamples).
+  /// Optional batched variant of Loss; when set, training builds every
+  /// shard through it (TrainOptions::BatchedSamples).
   BatchLossFn LossBatch;
   std::function<std::vector<std::string>(const MethodSample &)> Predict;
   ParamStore *Params = nullptr;

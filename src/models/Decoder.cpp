@@ -41,48 +41,7 @@ Var SeqDecoder::stepLogits(const Var &PrevEmbed, RecState &State,
 Var SeqDecoder::loss(const Var &ProgramEmbedding,
                      const std::vector<Var> &Memory,
                      const std::vector<int> &TargetIds) const {
-  LIGER_CHECK(!Memory.empty(), "decoder needs a non-empty memory");
-  LIGER_CHECK(!TargetIds.empty() && TargetIds.back() == Vocabulary::Eos,
-              "targets must end with Eos");
-  // Validate every target id once, ahead of the step loop (they feed
-  // both the embedding lookups and the cross-entropy targets).
-  for (int Id : TargetIds)
-    LIGER_CHECK(Id >= 0 &&
-                    static_cast<size_t>(Id) < Config.TargetVocabSize,
-                "decoder target id out of range");
-
-  RecState State;
-  State.H = tanhV(InitProj.apply(ProgramEmbedding));
-  if (Config.Cell == CellKind::Lstm)
-    State.C = constant(Tensor::zeros(Config.Hidden));
-
-  // Key-side attention projections: once per decode, shared by every
-  // step below.
-  AttentionScorer::Memory Mem = Attn.prepare(Memory);
-
-  // Teacher-forced inputs are [Sos, T_0, ..., T_{n-2}]; hoist the
-  // embedding lookups out of the step loop and look each distinct id
-  // up once (repeated sub-tokens share one graph node).
-  std::vector<Var> Inputs;
-  Inputs.reserve(TargetIds.size());
-  std::unordered_map<int, Var> EmbedCache;
-  int Prev = Vocabulary::Sos;
-  for (int Target : TargetIds) {
-    Var &Embed = EmbedCache[Prev];
-    if (!Embed)
-      Embed = TargetEmbed.lookup(Prev);
-    Inputs.push_back(Embed);
-    Prev = Target; // teacher forcing
-  }
-
-  std::vector<Var> Losses;
-  Losses.reserve(TargetIds.size());
-  for (size_t I = 0; I < TargetIds.size(); ++I) {
-    Var Logits = stepLogits(Inputs[I], State, Mem);
-    Losses.push_back(
-        softmaxCrossEntropy(Logits, static_cast<size_t>(TargetIds[I])));
-  }
-  return meanLoss(Losses);
+  return lossBatch({ProgramEmbedding}, {Memory}, {TargetIds})[0];
 }
 
 std::vector<Var>
@@ -94,8 +53,9 @@ SeqDecoder::lossBatch(const std::vector<Var> &ProgramEmbeddings,
               "lossBatch needs matching non-empty sample sets");
 
   // Per-sample validation, initial states, and prepared attention
-  // memories, in ascending sample order (the same nodes loss() builds
-  // first for each sample).
+  // memories, in ascending sample order. Every target id is checked
+  // here, ahead of the step loop (they feed both the embedding lookups
+  // and the cross-entropy targets).
   std::vector<RecState> States(B);
   std::vector<AttentionScorer::Memory> Mems;
   Mems.reserve(B);

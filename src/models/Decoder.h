@@ -39,18 +39,20 @@ public:
   SeqDecoder(ParamStore &Store, const std::string &Name,
              const SeqDecoderConfig &Config, Rng &R);
 
-  /// Teacher-forced sequence loss. \p Memory must be non-empty;
-  /// \p TargetIds must end with Eos.
+  /// Teacher-forced sequence loss of one sample: lossBatch of a group
+  /// of one. \p Memory must be non-empty; \p TargetIds must end with
+  /// Eos.
   Var loss(const Var &ProgramEmbedding, const std::vector<Var> &Memory,
            const std::vector<int> &TargetIds) const;
 
   /// Teacher-forced losses for B samples decoded in lockstep: the
   /// batching scheduler (lockstepSchedule) groups the samples still
   /// active at each timestep into one batched cell step, so
-  /// same-timestep samples share a matmul. Per-sample loss values are
-  /// bitwise-identical to loss() on each sample; the graph is built
-  /// timestep-major, and its losses, gradients and post-Adam parameters
-  /// are bitwise-identical to the same walk through per-lane ops
+  /// same-timestep samples share a matmul. A sample's loss value does
+  /// not depend on the group it is decoded in (at B = 1 every batched
+  /// op is the per-sample op); the graph is built timestep-major, and
+  /// its losses, gradients and post-Adam parameters are
+  /// bitwise-identical to the same walk through per-lane ops
   /// (BatchedLossEquivalenceTest pins both). Returns each sample's mean
   /// loss.
   std::vector<Var>
@@ -74,7 +76,7 @@ public:
                               size_t Width) const;
 
 private:
-  /// Shared per-step computation: emits logits for the next token,
+  /// One greedy decoding step: emits logits for the next token,
   /// attending over a prepared memory (key-side projections cached
   /// once per decode by AttentionScorer::prepare).
   Var stepLogits(const Var &PrevEmbed, RecState &State,

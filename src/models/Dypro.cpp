@@ -47,7 +47,8 @@ Var DyproEncoder::embedState(const ProgramState &State,
       std::vector<Var> Inputs;
       for (const std::string &Token : Tokens)
         Inputs.push_back(lookupToken(Token, Ctx));
-      ValueEmbed = F1.run(Inputs).back().H;
+      // An empty flattening ends at the f1 root (zeros), as in LIGER.
+      ValueEmbed = Inputs.empty() ? F1.initial().H : F1.run(Inputs).back().H;
     } else {
       ValueEmbed = lookupToken(valueToken(V), Ctx);
     }

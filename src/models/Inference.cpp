@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // Every function here is a values-only transliteration of its graph
-// counterpart (Liger.cpp / Decoder.cpp / Module.cpp), calling the same
+// counterpart (Liger.cpp / Decoder.cpp / Module.cpp), reading traces
+// through the same pathExtent / fusedState / stateKey and calling the same
 // inferops:: kernels the fused graph ops call; keep the two in lockstep
 // when either changes — InferenceEquivalenceTest compares them with
 // memcmp.
@@ -384,31 +385,10 @@ const float *LigerInference::embedStatement(const Stmt *S) {
 //===----------------------------------------------------------------------===//
 
 const float *LigerInference::embedState(const ProgramState &State) {
-  // The key construction is LigerEncoder::stateKey verbatim — serving
-  // and training must agree on which states are "the same".
-  std::string Key;
+  // The training walk's key: serving and training must agree on which
+  // states are "the same".
   std::vector<std::vector<std::string>> ValueTokens;
-  ValueTokens.reserve(State.Values.size());
-  for (const Value &V : State.Values) {
-    bool IsObject = V.isArray() || V.isStruct();
-    if (IsObject) {
-      std::vector<std::string> Tokens = valueTokens(V);
-      if (Tokens.size() > Config.MaxFlattenedValues)
-        Tokens.resize(Config.MaxFlattenedValues);
-      ValueTokens.push_back(std::move(Tokens));
-    } else {
-      ValueTokens.push_back({valueToken(V)});
-    }
-    // Kind tag as in LigerEncoder::stateKey: a persistent cache must
-    // never hand a primitive's token embedding to the one-element
-    // object with the same token stream (or vice versa).
-    Key += IsObject ? 'O' : 'P';
-    for (const std::string &Token : ValueTokens.back()) {
-      Key += Token;
-      Key += '\x1f';
-    }
-    Key += '\x1e';
-  }
+  std::string Key = stateKey(Config, State, ValueTokens);
 
   auto It = StateCache.find(Key);
   if (It != StateCache.end()) {
@@ -451,11 +431,9 @@ const float *LigerInference::fuseStep(const BlendedTrace &Path, size_t J,
   std::vector<const float *> Components;
   if (Config.UseStaticFeature)
     Components.push_back(embedStatement(Path.Symbolic.Steps[J].Statement));
-  for (size_t T = 0; T < NumConcrete; ++T) {
-    const StateTrace &States = Path.Concrete[T];
-    if (J < States.States.size() && !States.States[J].Values.empty())
-      Components.push_back(embedState(States.States[J]));
-  }
+  for (size_t T = 0; T < NumConcrete; ++T)
+    if (const ProgramState *State = fusedState(Path, T, J))
+      Components.push_back(embedState(*State));
   if (Components.empty())
     return nullptr;
   // Every component is a cache slot (fillSlot): embedding, then its
@@ -480,18 +458,12 @@ const float *LigerInference::fuseStep(const BlendedTrace &Path, size_t J,
 }
 
 const float *
-LigerInference::encodePath(const BlendedTrace &Path,
+LigerInference::encodePath(const BlendedTrace &Path, const PathExtent &Extent,
                            std::vector<const float *> &StepMemory) {
-  size_t Steps = std::min(Path.Symbolic.Steps.size(), Config.MaxStepsPerTrace);
-  size_t NumConcrete =
-      Config.UseDynamicFeature
-          ? std::min(Path.Concrete.size(), Config.MaxConcretePerPath)
-          : 0;
-
   St Trace = cellInitial(F3);
   const float *PrevH = Trace.H;
-  for (size_t J = 0; J < Steps; ++J) {
-    const float *Fused = fuseStep(Path, J, NumConcrete, PrevH);
+  for (size_t J = 0; J < Extent.Steps; ++J) {
+    const float *Fused = fuseStep(Path, J, Extent.NumConcrete, PrevH);
     if (!Fused)
       continue;
     Trace = cellStep(F3, Fused, Trace);
@@ -505,14 +477,9 @@ const float *
 LigerInference::encodeInternal(const MethodTraces &Traces,
                                std::vector<const float *> &StepMemory) {
   std::vector<const float *> PathEmbeddings;
-  for (const BlendedTrace &Path : Traces.Paths) {
-    if (!Config.UseDynamicFeature && Path.Symbolic.Steps.empty())
-      continue;
-    if (Config.UseDynamicFeature && !Config.UseStaticFeature &&
-        Path.Concrete.empty())
-      continue;
-    PathEmbeddings.push_back(encodePath(Path, StepMemory));
-  }
+  for (const BlendedTrace &Path : Traces.Paths)
+    if (std::optional<PathExtent> Extent = pathExtent(Config, Path))
+      PathEmbeddings.push_back(encodePath(Path, *Extent, StepMemory));
 
   size_t H = Config.Hidden;
   if (PathEmbeddings.empty()) {

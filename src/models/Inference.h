@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The no-graph inference runtime: a mirror of the single-sample
+/// The no-graph inference runtime: a mirror of the one-sample
 /// LigerEncoder::encode -> SeqDecoder::decodeGreedy walk that runs the
 /// shared forward kernels (nn/InferOps.h) directly against an immutable
 /// WeightImage — no graph Nodes, no backward payloads kept alive, no
@@ -184,7 +184,7 @@ private:
   const float *embedState(const ProgramState &State);
   const float *fuseStep(const BlendedTrace &Path, size_t J,
                         size_t NumConcrete, const float *PrevH);
-  const float *encodePath(const BlendedTrace &Path,
+  const float *encodePath(const BlendedTrace &Path, const PathExtent &Extent,
                           std::vector<const float *> &StepMemory);
   const float *encodeInternal(const MethodTraces &Traces,
                               std::vector<const float *> &StepMemory);

@@ -13,6 +13,63 @@
 using namespace liger;
 
 //===----------------------------------------------------------------------===//
+// Trace reading
+//===----------------------------------------------------------------------===//
+
+std::optional<PathExtent> liger::pathExtent(const LigerConfig &Config,
+                                            const BlendedTrace &Path) {
+  if (!Config.UseDynamicFeature && Path.Symbolic.Steps.empty())
+    return std::nullopt;
+  if (Config.UseDynamicFeature && !Config.UseStaticFeature &&
+      Path.Concrete.empty())
+    return std::nullopt;
+  PathExtent E;
+  E.Steps = std::min(Path.Symbolic.Steps.size(), Config.MaxStepsPerTrace);
+  E.NumConcrete =
+      Config.UseDynamicFeature
+          ? std::min(Path.Concrete.size(), Config.MaxConcretePerPath)
+          : 0;
+  return E;
+}
+
+const ProgramState *liger::fusedState(const BlendedTrace &Path, size_t T,
+                                      size_t J) {
+  const std::vector<ProgramState> &States = Path.Concrete[T].States;
+  if (J >= States.size() || States[J].Values.empty())
+    return nullptr;
+  return &States[J];
+}
+
+std::string
+liger::stateKey(const LigerConfig &Config, const ProgramState &State,
+                std::vector<std::vector<std::string>> &ValueTokens) {
+  std::string Key;
+  ValueTokens.reserve(State.Values.size());
+  for (const Value &V : State.Values) {
+    bool IsObject = V.isArray() || V.isStruct();
+    if (IsObject) {
+      std::vector<std::string> Tokens = valueTokens(V);
+      if (Tokens.size() > Config.MaxFlattenedValues)
+        Tokens.resize(Config.MaxFlattenedValues);
+      ValueTokens.push_back(std::move(Tokens));
+    } else {
+      ValueTokens.push_back({valueToken(V)});
+    }
+    // The kind tag keeps the key injective: a primitive embeds its
+    // token directly while an object runs f1 over its flattening, so
+    // int 5 and the one-element array [5] — identical token streams —
+    // must not share an entry.
+    Key += IsObject ? 'O' : 'P';
+    for (const std::string &Token : ValueTokens.back()) {
+      Key += Token;
+      Key += '\x1f'; // token separator
+    }
+    Key += '\x1e'; // value separator (tokens can't merge across values)
+  }
+  return Key;
+}
+
+//===----------------------------------------------------------------------===//
 // LigerEncoder
 //===----------------------------------------------------------------------===//
 
@@ -46,50 +103,6 @@ Var LigerEncoder::embedStatement(const Stmt *S, EncodeContext &Ctx) const {
   });
   Ctx.StmtCache.emplace(S, H);
   return H;
-}
-
-std::string LigerEncoder::stateKey(
-    const ProgramState &State,
-    std::vector<std::vector<std::string>> &ValueTokens) const {
-  std::string Key;
-  ValueTokens.reserve(State.Values.size());
-  for (const Value &V : State.Values) {
-    bool IsObject = V.isArray() || V.isStruct();
-    if (IsObject) {
-      std::vector<std::string> Tokens = valueTokens(V);
-      if (Tokens.size() > Config.MaxFlattenedValues)
-        Tokens.resize(Config.MaxFlattenedValues);
-      ValueTokens.push_back(std::move(Tokens));
-    } else {
-      ValueTokens.push_back({valueToken(V)});
-    }
-    // The kind tag keeps the key injective: a primitive embeds its
-    // token directly while an object runs f1 over its flattening, so
-    // int 5 and the one-element array [5] — identical token streams —
-    // must not share an entry.
-    Key += IsObject ? 'O' : 'P';
-    for (const std::string &Token : ValueTokens.back()) {
-      Key += Token;
-      Key += '\x1f'; // token separator
-    }
-    Key += '\x1e'; // value separator (tokens can't merge across values)
-  }
-  return Key;
-}
-
-Var LigerEncoder::embedState(const ProgramState &State,
-                             EncodeContext &Ctx) const {
-  // Equal variable valuations embed identically; key the state by its
-  // full token signature so repeated states (loop iterations, shared
-  // prefixes across executions) cost one trie walk per encode.
-  StateEmbedRequest Rq{&Ctx, &State, {}, {}};
-  Rq.Key = stateKey(State, Rq.ValueTokens);
-  auto It = Ctx.States->Cache.find(Rq.Key);
-  if (It != Ctx.States->Cache.end())
-    return It->second;
-  std::vector<StateEmbedRequest> Requests;
-  Requests.push_back(std::move(Rq));
-  return embedStatesBatch(Requests, *Ctx.States, Ctx.Stats)[0];
 }
 
 std::vector<Var>
@@ -190,24 +203,15 @@ std::vector<uint32_t> LigerEncoder::walkTrie(const RecurrentCell &Cell,
 }
 
 Var LigerEncoder::fuseStep(const BlendedTrace &Path, size_t J,
-                           size_t NumConcrete, Var PrevH, EncodeContext &Ctx,
-                           const std::vector<Var> *StateComps) const {
+                           const std::vector<Var> &StateComps, Var PrevH,
+                           EncodeContext &Ctx) const {
   // Collect the feature vectors of this ordered pair; the statement
   // vector (when enabled) is component 0.
   std::vector<Var> Components;
   if (Config.UseStaticFeature)
     Components.push_back(
         embedStatement(Path.Symbolic.Steps[J].Statement, Ctx));
-  if (StateComps) {
-    Components.insert(Components.end(), StateComps->begin(),
-                      StateComps->end());
-  } else {
-    for (size_t T = 0; T < NumConcrete; ++T) {
-      const StateTrace &States = Path.Concrete[T];
-      if (J < States.States.size() && !States.States[J].Values.empty())
-        Components.push_back(embedState(States.States[J], Ctx));
-    }
-  }
+  Components.insert(Components.end(), StateComps.begin(), StateComps.end());
   if (Components.empty())
     return nullptr; // dynamic-only config with a state-less step
 
@@ -240,59 +244,9 @@ Var LigerEncoder::fuseStep(const BlendedTrace &Path, size_t J,
   return Fusion.Context;
 }
 
-Var LigerEncoder::encodePath(const BlendedTrace &Path, EncodeContext &Ctx,
-                             std::vector<Var> &StepMemory) const {
-  size_t Steps =
-      std::min(Path.Symbolic.Steps.size(), Config.MaxStepsPerTrace);
-  size_t NumConcrete = Config.UseDynamicFeature
-                           ? std::min(Path.Concrete.size(),
-                                      Config.MaxConcretePerPath)
-                           : 0;
-
-  RecState Trace = F3.initial();
-  Var PrevH = Trace.H; // H^e_{i_0} = 0
-  for (size_t J = 0; J < Steps; ++J) {
-    Var Fused = fuseStep(Path, J, NumConcrete, PrevH, Ctx);
-    if (!Fused)
-      continue;
-    Trace = F3.step(Fused, Trace);
-    PrevH = Trace.H;
-    StepMemory.push_back(Trace.H);
-  }
-  return Trace.H; // H^e_i
-}
-
 LigerEncoding LigerEncoder::encode(const MethodTraces &Traces,
                                    FusionStats *Stats) const {
-  StateMemo States;
-  EncodeContext Ctx;
-  Ctx.States = &States;
-  Ctx.Stats = Stats;
-
-  std::vector<Var> PathEmbeddings;
-  std::vector<Var> StepMemory;
-  for (const BlendedTrace &Path : Traces.Paths) {
-    if (!Config.UseDynamicFeature && Path.Symbolic.Steps.empty())
-      continue;
-    if (Config.UseDynamicFeature && !Config.UseStaticFeature &&
-        Path.Concrete.empty())
-      continue;
-    PathEmbeddings.push_back(encodePath(Path, Ctx, StepMemory));
-  }
-
-  LigerEncoding Out;
-  if (PathEmbeddings.empty()) {
-    Out.ProgramEmbedding = constant(Tensor::zeros(Config.Hidden));
-    Out.StepMemory.push_back(Out.ProgramEmbedding);
-    return Out;
-  }
-  Out.ProgramEmbedding = Config.MeanPoolPrograms
-                             ? meanPool(PathEmbeddings)
-                             : maxPool(PathEmbeddings);
-  if (StepMemory.empty())
-    StepMemory.push_back(Out.ProgramEmbedding);
-  Out.StepMemory = std::move(StepMemory);
-  return Out;
+  return std::move(encodeBatch({&Traces}, Stats)[0]);
 }
 
 std::vector<LigerEncoding>
@@ -306,21 +260,18 @@ LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
   // or prefix revisited by another sample reuses a node with
   // bitwise-identical value — per-sample loss values are unchanged.
   // Gradient flow through a shared node merges where per-sample memos
-  // would duplicate it, which only the (already order-sensitive)
-  // batched gradient accumulation can observe.
+  // would duplicate it, which only gradient accumulation order can
+  // observe.
   StateMemo BatchStates;
   std::vector<EncodeContext> Ctxs(B);
-  for (EncodeContext &Ctx : Ctxs) {
-    Ctx.States = &BatchStates;
+  for (EncodeContext &Ctx : Ctxs)
     Ctx.Stats = Stats;
-  }
 
-  // One lane per eligible blended trace, in sample-major order.
+  // One lane per encoded blended trace, in sample-major order.
   struct Lane {
     size_t Sample;
     const BlendedTrace *Path;
-    size_t Steps;
-    size_t NumConcrete;
+    PathExtent Extent;
     RecState Trace;
     Var PrevH;
     std::vector<Var> Memory;
@@ -329,23 +280,16 @@ LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
   size_t MaxSteps = 0;
   for (size_t S = 0; S < B; ++S) {
     for (const BlendedTrace &Path : Batch[S]->Paths) {
-      if (!Config.UseDynamicFeature && Path.Symbolic.Steps.empty())
-        continue;
-      if (Config.UseDynamicFeature && !Config.UseStaticFeature &&
-          Path.Concrete.empty())
+      std::optional<PathExtent> Extent = pathExtent(Config, Path);
+      if (!Extent)
         continue;
       Lane L;
       L.Sample = S;
       L.Path = &Path;
-      L.Steps =
-          std::min(Path.Symbolic.Steps.size(), Config.MaxStepsPerTrace);
-      L.NumConcrete = Config.UseDynamicFeature
-                          ? std::min(Path.Concrete.size(),
-                                     Config.MaxConcretePerPath)
-                          : 0;
+      L.Extent = *Extent;
       L.Trace = F3.initial();
       L.PrevH = L.Trace.H;
-      MaxSteps = std::max(MaxSteps, L.Steps);
+      MaxSteps = std::max(MaxSteps, L.Extent.Steps);
       Lanes.push_back(std::move(L));
     }
   }
@@ -375,16 +319,16 @@ LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
     Pending.clear();
     for (size_t Li = 0; Li < Lanes.size(); ++Li) {
       Lane &L = Lanes[Li];
-      if (J >= L.Steps)
+      if (J >= L.Extent.Steps)
         continue;
-      for (size_t T = 0; T < L.NumConcrete; ++T) {
-        const StateTrace &States = L.Path->Concrete[T];
-        if (J >= States.States.size() || States.States[J].Values.empty())
+      for (size_t T = 0; T < L.Extent.NumConcrete; ++T) {
+        const ProgramState *State = fusedState(*L.Path, T, J);
+        if (!State)
           continue;
         StateEmbedRequest Rq;
         Rq.Ctx = &Ctxs[L.Sample];
-        Rq.State = &States.States[J];
-        Rq.Key = stateKey(*Rq.State, Rq.ValueTokens);
+        Rq.State = State;
+        Rq.Key = stateKey(Config, *State, Rq.ValueTokens);
         auto It = BatchStates.Cache.find(Rq.Key);
         if (It != BatchStates.Cache.end()) {
           LaneStates[Li].push_back(It->second);
@@ -407,10 +351,10 @@ LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
     PrevStates.clear();
     for (size_t Li = 0; Li < Lanes.size(); ++Li) {
       Lane &L = Lanes[Li];
-      if (J >= L.Steps)
+      if (J >= L.Extent.Steps)
         continue;
-      Var Fused = fuseStep(*L.Path, J, L.NumConcrete, L.PrevH,
-                           Ctxs[L.Sample], &LaneStates[Li]);
+      Var Fused =
+          fuseStep(*L.Path, J, LaneStates[Li], L.PrevH, Ctxs[L.Sample]);
       if (!Fused)
         continue;
       Active.push_back(Li);
@@ -428,7 +372,7 @@ LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
     }
   }
 
-  // Per-sample assembly in encode()'s path-major order.
+  // Per-sample assembly in path-major order.
   std::vector<LigerEncoding> Out(B);
   std::vector<std::vector<Var>> PathEmbeds(B);
   for (Lane &L : Lanes) {
@@ -483,10 +427,7 @@ LigerNamePredictor::LigerNamePredictor(const Vocabulary &JointVocab,
       TargetVocab(Target) {}
 
 Var LigerNamePredictor::loss(const MethodSample &Sample) const {
-  LigerEncoding Enc = Encoder.encode(Sample.Traces);
-  std::vector<int> Targets =
-      nameTargetIds(Sample.NameSubtokens, TargetVocab);
-  return Decoder.loss(Enc.ProgramEmbedding, Enc.StepMemory, Targets);
+  return lossBatch({&Sample})[0];
 }
 
 std::vector<Var> LigerNamePredictor::lossBatch(
@@ -503,9 +444,6 @@ std::vector<Var> LigerNamePredictor::lossBatch(
     Traces.push_back(&Sample->Traces);
     Targets.push_back(nameTargetIds(Sample->NameSubtokens, TargetVocab));
   }
-  // Lockstep-batched encode: all samples' blended traces advance their
-  // F3 recurrences together, so same-timestep lanes share one batched
-  // cell step exactly as the decoder loop below does.
   std::vector<LigerEncoding> Encs = Encoder.encodeBatch(Traces);
   for (LigerEncoding &Enc : Encs) {
     Embs.push_back(Enc.ProgramEmbedding);

@@ -37,6 +37,7 @@
 #include "models/Decoder.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -59,6 +60,35 @@ struct LigerConfig {
   size_t MaxFlattenedValues = 12; ///< Cap attr(v) length fed to f1.
   size_t MaxDecodeLen = 8;
 };
+
+/// What the encoder reads of a method's traces. Both encoder walks —
+/// the autodiff LigerEncoder and the forward-only LigerInference — read
+/// traces only through the three functions below, so they agree on
+/// which paths, steps and states feed an encoding.
+
+/// The part of one blended trace the encoder reads: its first Steps
+/// steps, each fusing the states of its first NumConcrete concrete
+/// traces.
+struct PathExtent {
+  size_t Steps = 0;
+  size_t NumConcrete = 0;
+};
+
+/// The extent of \p Path under \p Config, or nullopt when the path
+/// contributes no embedding (no statements without the dynamic feature;
+/// no concrete traces in a dynamic-only configuration).
+std::optional<PathExtent> pathExtent(const LigerConfig &Config,
+                                     const BlendedTrace &Path);
+
+/// The state concrete trace \p T of \p Path fuses at step \p J, or
+/// null when that trace has ended or its state there is empty.
+const ProgramState *fusedState(const BlendedTrace &Path, size_t T, size_t J);
+
+/// The state-cache key of \p State, filling \p ValueTokens with each
+/// variable's flattened token sequence (object values truncated to
+/// MaxFlattenedValues). Equal keys mean bitwise-equal state embeddings.
+std::string stateKey(const LigerConfig &Config, const ProgramState &State,
+                     std::vector<std::vector<std::string>> &ValueTokens);
 
 /// Attention introspection for §6.1.2 (average fusion weight assigned
 /// to the symbolic (static) feature vector), plus the state-embedding
@@ -89,20 +119,21 @@ public:
   LigerEncoder(ParamStore &Store, const Vocabulary &JointVocab,
                const LigerConfig &Config, Rng &R);
 
-  /// Encodes one method's blended traces. When \p Stats is non-null,
-  /// fusion attention weights and state cell steps are accumulated into
-  /// it.
+  /// Encodes one method's blended traces: the one-sample case of
+  /// encodeBatch. When \p Stats is non-null, fusion attention weights
+  /// and state cell steps are accumulated into it.
   LigerEncoding encode(const MethodTraces &Traces,
                        FusionStats *Stats = nullptr) const;
 
-  /// Encodes a mini-batch of methods with every blended trace advanced
-  /// in lockstep: at each step index the per-path component fusions
-  /// run per lane (each path attends over its own components), then
-  /// all live paths advance through one batched F3 step
-  /// (RecurrentCell::stepBatch). Per-sample values are
-  /// bitwise-identical to encode(); only node creation order — and so
-  /// gradient accumulation order across lanes — follows the
-  /// timestep-major schedule SeqDecoder::lossBatch already uses. State
+  /// Encodes a mini-batch of methods, every blended trace of every
+  /// sample one lane advanced in lockstep (§5, Fig. 5): at each step
+  /// index the per-lane component fusions run (each path attends over
+  /// its own components), then all live lanes advance through one
+  /// batched F3 step (RecurrentCell::stepBatch); each sample's program
+  /// embedding pools its lanes' final states. Per-sample values do not
+  /// depend on the batch: they are bitwise the one-sample values, and
+  /// only node creation order — and so gradient accumulation order
+  /// across lanes — follows the timestep-major schedule. State
   /// embeddings share one cache and one pair of prefix tries across the
   /// whole batch; \p Stats (optional) accumulates over every sample.
   std::vector<LigerEncoding>
@@ -130,21 +161,20 @@ private:
   };
   static constexpr uint64_t ObjectInput = uint64_t(1) << 63;
 
-  /// State embeddings of one encode (one sample for encode, the whole
-  /// batch for encodeBatch). Equal states (by stateKey) share one node;
-  /// states that miss walk the f1/f2 prefix tries, so each distinct
-  /// object-value prefix and variable prefix is one graph step.
+  /// State embeddings of one encodeBatch call. Equal states (by
+  /// stateKey) share one node; states that miss walk the f1/f2 prefix
+  /// tries, so each distinct object-value prefix and variable prefix is
+  /// one graph step.
   struct StateMemo {
     std::unordered_map<std::string, Var> Cache;
     PrefixTrie F1Trie, F2Trie;
   };
 
-  /// Per-forward-pass caches: statement embeddings recur across loop
+  /// Per-sample forward caches: statement embeddings recur across loop
   /// iterations, token embeddings (keyed by vocabulary id) everywhere.
   struct EncodeContext {
     std::unordered_map<const Stmt *, Var> StmtCache;
     std::unordered_map<int, Var> TokenCache;
-    StateMemo *States = nullptr;
     FusionStats *Stats = nullptr;
   };
 
@@ -167,13 +197,6 @@ private:
 
   Var lookupToken(int Id, EncodeContext &Ctx) const;
   Var embedStatement(const Stmt *S, EncodeContext &Ctx) const;
-  /// Computes a state's cache key and fills \p ValueTokens with each
-  /// variable's flattened token sequence (truncated to
-  /// MaxFlattenedValues for object values).
-  std::string
-  stateKey(const ProgramState &State,
-           std::vector<std::vector<std::string>> &ValueTokens) const;
-  Var embedState(const ProgramState &State, EncodeContext &Ctx) const;
   /// Embeds every requested state by walking the prefix tries of
   /// \p Memo (f1 over each object value's tokens, then f2 over each
   /// state's variable inputs), caches each result under its request's
@@ -189,16 +212,12 @@ private:
                                  const std::vector<TrieWalk> &Walks,
                                  const StateMemo &Memo,
                                  FusionStats *Stats) const;
-  /// Fuses step \p J of one path (statement + state components through
-  /// the fusion rule) or returns null when the step has no components.
-  /// When \p StateComps is non-null it supplies the step's state
-  /// embeddings (resolved up front by encodeBatch's prefetch) instead
-  /// of the per-state embedState walk.
-  Var fuseStep(const BlendedTrace &Path, size_t J, size_t NumConcrete,
-               Var PrevH, EncodeContext &Ctx,
-               const std::vector<Var> *StateComps = nullptr) const;
-  Var encodePath(const BlendedTrace &Path, EncodeContext &Ctx,
-                 std::vector<Var> &StepMemory) const;
+  /// Fuses step \p J of one path: the statement and the step's state
+  /// embeddings \p StateComps through the fusion rule. Returns null when
+  /// the step has no components.
+  Var fuseStep(const BlendedTrace &Path, size_t J,
+               const std::vector<Var> &StateComps, Var PrevH,
+               EncodeContext &Ctx) const;
 
   LigerConfig Config;
   const Vocabulary &Vocab;
@@ -217,13 +236,13 @@ public:
                      const Vocabulary &TargetVocab,
                      const LigerConfig &Config, uint64_t Seed);
 
-  /// Teacher-forced loss for one sample.
+  /// Teacher-forced loss for one sample: lossBatch of a group of one.
   Var loss(const MethodSample &Sample) const;
 
-  /// Teacher-forced losses for a mini-batch decoded in lockstep (see
-  /// SeqDecoder::lossBatch): encodes every sample, then advances all
-  /// decoders together so same-timestep samples share one batched cell
-  /// step. Per-sample values are bitwise-identical to loss().
+  /// Teacher-forced losses for a mini-batch: encodeBatch, then
+  /// SeqDecoder::lossBatch, so same-timestep lanes of the encoder and
+  /// the decoder share batched cell steps. A sample's loss value does
+  /// not depend on the group it is in.
   std::vector<Var>
   lossBatch(const std::vector<const MethodSample *> &Samples) const;
 

@@ -41,7 +41,9 @@ namespace liger {
 namespace detail {
 /// Returns a float buffer of \p N elements (contents unspecified) from
 /// the calling thread's pool, falling back to a fresh 64-byte-aligned
-/// allocation (every pooled buffer is cache-line aligned).
+/// allocation (every pooled buffer is cache-line aligned). The pool is
+/// keyed by size class (Tensor.cpp), so the buffer may hold up to 12.5%
+/// more floats than asked for; the slack is not part of the tensor.
 float *bufferAcquire(size_t N);
 /// Returns \p Data (of \p N elements) to the calling thread's pool.
 /// Buffers may be released on a different thread than they were
@@ -49,7 +51,8 @@ float *bufferAcquire(size_t N);
 void bufferRelease(float *Data, size_t N);
 /// Frees every buffer cached by the calling thread's pool.
 void bufferPoolTrim();
-/// Bytes currently cached by the calling thread's pool.
+/// Bytes currently cached by the calling thread's pool: the full size
+/// of every cached buffer, slack included.
 size_t bufferPoolCachedBytes();
 } // namespace detail
 

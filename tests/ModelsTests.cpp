@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <unordered_map>
@@ -296,6 +297,36 @@ TEST(DyproTest, LossAndPredictRun) {
   EXPECT_GT(Net.params().gradNorm(), 0.0);
   auto Predicted = Net.predict(Samples[0]);
   EXPECT_LE(Predicted.size(), Config.MaxDecodeLen);
+}
+
+// With MaxFlattenedValues = 0 every object value flattens to nothing;
+// its f1 walk ends at the f1 root (zeros), as in LIGER's encoder.
+TEST(DyproTest, EmptyFlatteningEndsAtF1Root) {
+  auto Samples = tinyCorpus();
+  TinyVocabs V = buildVocabs(Samples);
+  DyproConfig Config;
+  Config.EmbedDim = 12;
+  Config.Hidden = 12;
+  Config.AttnHidden = 12;
+  Config.MaxFlattenedValues = 0;
+  bool HasObject = false;
+  for (const BlendedTrace &Path : Samples[0].Traces.Paths)
+    for (const StateTrace &States : Path.Concrete)
+      for (const ProgramState &State : States.States)
+        for (const Value &X : State.Values)
+          HasObject |= X.isArray() || X.isStruct();
+  ASSERT_TRUE(HasObject);
+
+  DyproNamePredictor Net(V.Joint, V.Target, Config, 42);
+  Var Loss = Net.loss(Samples[0]);
+  EXPECT_TRUE(std::isfinite(Loss->Value[0]));
+  EXPECT_GT(Loss->Value[0], 0.0f);
+  backward(Loss);
+  EXPECT_TRUE(std::isfinite(Net.params().gradNorm()));
+  EXPECT_LE(Net.predict(Samples[0]).size(), Config.MaxDecodeLen);
+
+  DyproClassifier Classifier(V.Joint, 2, Config, 42);
+  EXPECT_TRUE(std::isfinite(Classifier.loss(Samples[0])->Value[0]));
 }
 
 TEST(DyproTest, IgnoresSymbolicDimension) {

@@ -17,6 +17,17 @@
 #include <cstring>
 #include <fstream>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define LIGER_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define LIGER_TEST_ASAN 1
+#endif
+#endif
+#if LIGER_TEST_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 using namespace liger;
 
 namespace {
@@ -98,6 +109,50 @@ TEST(GraphTest, CrossEntropyValue) {
 
 TEST(GraphTest, ArgmaxHelper) {
   EXPECT_EQ(argmax(Tensor::fromVector({0.1f, 0.9f, 0.5f})), 1u);
+}
+
+// Above 1024 floats the tensor pool is keyed by size class: N and N + 1
+// share a class, so a released N-float buffer serves an (N + 1)-float
+// request, and the cached-bytes count moves by whole class sizes.
+TEST(TensorPoolTest, NeighbouringLargeSizesShareABuffer) {
+  detail::bufferPoolTrim();
+  ASSERT_EQ(detail::bufferPoolCachedBytes(), 0u);
+  for (size_t N : {size_t(1025), size_t(1500), size_t(4097), size_t(70000)}) {
+    float *A = detail::bufferAcquire(N);
+    A[N - 1] = 1.0f;
+#if LIGER_TEST_ASAN
+    EXPECT_TRUE(__asan_address_is_poisoned(A + N)) << N; // class slack
+#endif
+    detail::bufferRelease(A, N);
+    size_t Cached = detail::bufferPoolCachedBytes();
+    EXPECT_GE(Cached, (N + 1) * sizeof(float)) << N;
+    EXPECT_LE(Cached * 8, N * sizeof(float) * 9) << N; // slack <= 12.5%
+    float *B = detail::bufferAcquire(N + 1);
+    EXPECT_EQ(A, B) << N;
+    EXPECT_EQ(detail::bufferPoolCachedBytes(), 0u) << N;
+    B[N] = 2.0f;
+#if LIGER_TEST_ASAN
+    EXPECT_FALSE(__asan_address_is_poisoned(B + N)) << N;
+    EXPECT_TRUE(__asan_address_is_poisoned(B + N + 1)) << N;
+#endif
+    detail::bufferRelease(B, N + 1);
+    EXPECT_EQ(detail::bufferPoolCachedBytes(), Cached) << N;
+    detail::bufferPoolTrim();
+  }
+}
+
+// Below 1024 floats every size is its own class.
+TEST(TensorPoolTest, SmallSizesStayExact) {
+  detail::bufferPoolTrim();
+  float *A = detail::bufferAcquire(100);
+  detail::bufferRelease(A, 100);
+  EXPECT_EQ(detail::bufferPoolCachedBytes(), 100 * sizeof(float));
+  float *B = detail::bufferAcquire(101);
+  EXPECT_NE(A, B);
+  EXPECT_EQ(detail::bufferPoolCachedBytes(), 100 * sizeof(float));
+  detail::bufferRelease(B, 101);
+  EXPECT_EQ(detail::bufferPoolCachedBytes(), 201 * sizeof(float));
+  detail::bufferPoolTrim();
 }
 
 //===----------------------------------------------------------------------===//
