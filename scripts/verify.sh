@@ -16,16 +16,17 @@
 #      liger_fuzz smoke burst and the regression-corpus replay, all
 #      under ASan+UBSan (DESIGN.md §12);
 #   3c. sanitized serving: the forward-only runtime suites (bitwise
-#      inference equivalence, LGWI truncation/corruption/mmap fuzz,
-#      shared trace-cache concurrency) and a liger_serve --smoke burst
-#      under ASan+UBSan (DESIGN.md §13);
+#      inference equivalence, weight-image digest, shared trace-cache
+#      concurrency) and a liger_serve --smoke burst under ASan+UBSan
+#      (DESIGN.md §13);
 #   3d. sanitized lockstep training: the threaded batched-epoch
 #      equivalence suites (losses and final weights bitwise-identical
 #      across thread counts) under ASan+UBSan (DESIGN.md §14);
-#   3e. sanitized encoder prefix tries: the gradcheck through shared
-#      f1/f2 prefix nodes, lossBatch-vs-loss, and the encoder's
-#      step-count and empty-flattening equivalence with the serving
-#      engine, under ASan+UBSan (DESIGN.md §14.2);
+#   3e. sanitized encoder prefix tries: the LIGER and DYPRO gradchecks
+#      through shared f1/f2 prefix nodes, DYPRO's encode against its
+#      chain-per-state oracle, lossBatch-vs-loss, and the LIGER
+#      encoder's step-count and empty-flattening equivalence with the
+#      serving engine, under ASan+UBSan (DESIGN.md §14.2);
 #   4. scalar fallback: LIGER_NATIVE_SIMD=OFF build (build-scalar) +
 #      full ctest, so the portable kernels stay green alongside the
 #      AVX2 ones;
@@ -116,7 +117,7 @@ filtered "$REPO/build-asan/tests/eval_tests" \
 
 step "sanitized encoder prefix tries + empty flattening (build-asan)"
 filtered "$REPO/build-asan/tests/models_tests" \
-  'GradCheckTest.LigerLossSharedPrefixesGru:GradCheckTest.LigerLossSharedPrefixesLstm:BatchedLossEquivalenceTest.LigerLossBatchMatchesLoss:DyproTest.EmptyFlatteningEndsAtF1Root'
+  'GradCheckTest.LigerLossSharedPrefixesGru:GradCheckTest.LigerLossSharedPrefixesLstm:GradCheckTest.DyproLossSharedPrefixesGru:GradCheckTest.DyproLossSharedPrefixesLstm:DyproEquivalenceTest.EncodeMatchesReferenceGru:DyproEquivalenceTest.EncodeMatchesReferenceLstm:BatchedLossEquivalenceTest.LigerLossBatchMatchesLoss:DyproTest.EmptyFlatteningEndsAtF1Root'
 filtered "$REPO/build-asan/tests/serve_tests" \
   'InferenceEquivalenceTest.EncoderTriesStepEachPrefixOnce:InferenceEquivalenceTest.EmptyFlatteningBitwise'
 

@@ -6,6 +6,10 @@
 
 #include "models/Dypro.h"
 
+#include "models/StateTrie.h"
+
+#include <unordered_map>
+
 using namespace liger;
 
 void liger::addVariableNamesToVocabulary(const MethodSample &Sample,
@@ -22,72 +26,69 @@ DyproEncoder::DyproEncoder(ParamStore &Store, const Vocabulary &V,
       F2(Store, "dypro.f2", Cfg.Cell, 2 * Cfg.EmbedDim, Cfg.Hidden, R),
       Trace(Store, "dypro.trace", Cfg.Cell, Cfg.Hidden, Cfg.Hidden, R) {}
 
-Var DyproEncoder::lookupToken(const std::string &Token,
-                              EncodeContext &Ctx) const {
-  auto It = Ctx.TokenCache.find(Token);
-  if (It != Ctx.TokenCache.end())
-    return It->second;
-  Var E = Embed.lookup(Vocab.lookup(Token));
-  Ctx.TokenCache.emplace(Token, E);
-  return E;
-}
-
-Var DyproEncoder::embedState(const ProgramState &State,
-                             const std::vector<std::string> &VarNames,
-                             EncodeContext &Ctx) const {
-  std::vector<Var> VarEmbeds;
-  VarEmbeds.reserve(State.Values.size());
-  for (size_t I = 0; I < State.Values.size(); ++I) {
-    const Value &V = State.Values[I];
-    Var ValueEmbed;
-    if (V.isArray() || V.isStruct()) {
-      std::vector<std::string> Tokens = valueTokens(V);
-      if (Tokens.size() > Config.MaxFlattenedValues)
-        Tokens.resize(Config.MaxFlattenedValues);
-      std::vector<Var> Inputs;
-      for (const std::string &Token : Tokens)
-        Inputs.push_back(lookupToken(Token, Ctx));
-      // An empty flattening ends at the f1 root (zeros), as in LIGER.
-      ValueEmbed = Inputs.empty() ? F1.initial().H : F1.run(Inputs).back().H;
-    } else {
-      ValueEmbed = lookupToken(valueToken(V), Ctx);
-    }
-    Var NameEmbed = I < VarNames.size()
-                        ? lookupToken(VarNames[I], Ctx)
-                        : constant(Tensor::zeros(Config.EmbedDim));
-    VarEmbeds.push_back(concat(NameEmbed, ValueEmbed));
-  }
-  if (VarEmbeds.empty())
-    return constant(Tensor::zeros(Config.Hidden));
-  return F2.run(VarEmbeds).back().H;
-}
-
 DyproEncoder::Encoding DyproEncoder::encode(const MethodTraces &Traces) const {
-  EncodeContext Ctx;
-  Encoding Out;
-  std::vector<Var> TraceEmbeddings;
-  size_t Consumed = 0;
+  // The token cache and the state memo live for one encode: an f2 key
+  // tags each variable with its name, and VarNames is fixed per sample.
+  std::unordered_map<int, Var> Tokens;
+  auto Token = [&](uint32_t, int Id) {
+    Var &E = Tokens[Id];
+    if (!E)
+      E = Embed.lookup(Id);
+    return E;
+  };
+  // Tag 0 is "no name", which embeds as zeros; a name embeds its token.
+  std::vector<uint32_t> NameTags;
+  NameTags.reserve(Traces.VarNames.size());
+  for (const std::string &Name : Traces.VarNames)
+    NameTags.push_back(static_cast<uint32_t>(Vocab.lookup(Name)) + 1);
+  Var NoName = nullptr;
+  auto VarInput = [&](uint32_t, uint32_t Tag, const Var &Value) {
+    if (Tag == 0 && !NoName)
+      NoName = constant(Tensor::zeros(Config.EmbedDim));
+    Var Name = Tag == 0 ? NoName : Token(0, static_cast<int>(Tag - 1));
+    return concat(Name, Value);
+  };
 
+  // The states each consumed trace steps through, as slots of the
+  // state cache: a state's first occurrence requests its embedding,
+  // later ones share its slot.
+  StateMemo Memo;
+  std::vector<StateRequest> Requests;
+  std::vector<std::vector<const Var *>> TraceStates;
+  size_t Consumed = 0;
   for (const BlendedTrace &Path : Traces.Paths) {
     for (const StateTrace &States : Path.Concrete) {
       if (Consumed >= Config.MaxTraces)
         break;
       ++Consumed;
-      RecState S = Trace.initial();
-      size_t Steps =
-          std::min(States.States.size(), Config.MaxStatesPerTrace);
-      bool Stepped = false;
+      std::vector<const Var *> &Slots = TraceStates.emplace_back();
+      size_t Steps = std::min(States.States.size(), Config.MaxStatesPerTrace);
       for (size_t J = 0; J < Steps; ++J) {
         if (States.States[J].Values.empty())
           continue;
-        Var StateVec = embedState(States.States[J], Traces.VarNames, Ctx);
-        S = Trace.step(StateVec, S);
-        Out.StateMemory.push_back(S.H);
-        Stepped = true;
+        StateRequest Rq;
+        Rq.State = &States.States[J];
+        Rq.Key = stateKey(Config.MaxFlattenedValues, *Rq.State, Rq.ValueTokens);
+        auto [It, Inserted] = Memo.Cache.try_emplace(Rq.Key);
+        Slots.push_back(&It->second);
+        if (Inserted)
+          Requests.push_back(std::move(Rq));
       }
-      if (Stepped)
-        TraceEmbeddings.push_back(S.H);
     }
+  }
+  embedStates(F1, F2, Vocab, NameTags, Requests, Memo, Token, VarInput);
+
+  Encoding Out;
+  std::vector<Var> TraceEmbeddings;
+  for (const std::vector<const Var *> &Slots : TraceStates) {
+    if (Slots.empty())
+      continue;
+    RecState S = Trace.initial();
+    for (const Var *StateVec : Slots) {
+      S = Trace.step(*StateVec, S);
+      Out.StateMemory.push_back(S.H);
+    }
+    TraceEmbeddings.push_back(S.H);
   }
 
   if (TraceEmbeddings.empty()) {

@@ -15,6 +15,10 @@
 /// trace embeddings are pooled into the program embedding — unlike
 /// LIGER, there is no path grouping and no symbolic dimension.
 ///
+/// States are embedded by the walk LIGER uses (models/StateTrie.h): a
+/// per-encode state cache plus f1/f2 prefix tries, where an f2 edge
+/// key names both the variable's name token and its value input.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIGER_MODELS_DYPRO_H
@@ -22,8 +26,6 @@
 
 #include "models/Common.h"
 #include "models/Decoder.h"
-
-#include <unordered_map>
 
 namespace liger {
 
@@ -60,15 +62,6 @@ public:
   const DyproConfig &config() const { return Config; }
 
 private:
-  struct EncodeContext {
-    std::unordered_map<std::string, Var> TokenCache;
-  };
-
-  Var lookupToken(const std::string &Token, EncodeContext &Ctx) const;
-  Var embedState(const ProgramState &State,
-                 const std::vector<std::string> &VarNames,
-                 EncodeContext &Ctx) const;
-
   DyproConfig Config;
   const Vocabulary &Vocab;
   EmbeddingTable Embed;

@@ -17,6 +17,7 @@
 
 #include "lang/AstTree.h"
 #include "models/Common.h"
+#include "models/StateTrie.h"
 #include "nn/InferOps.h"
 
 #include <cstring>
@@ -388,7 +389,7 @@ const float *LigerInference::embedState(const ProgramState &State) {
   // The training walk's key: serving and training must agree on which
   // states are "the same".
   std::vector<std::vector<std::string>> ValueTokens;
-  std::string Key = stateKey(Config, State, ValueTokens);
+  std::string Key = stateKey(Config.MaxFlattenedValues, State, ValueTokens);
 
   auto It = StateCache.find(Key);
   if (It != StateCache.end()) {

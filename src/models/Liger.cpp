@@ -7,6 +7,7 @@
 #include "models/Liger.h"
 
 #include "lang/AstTree.h"
+#include "models/StateTrie.h"
 
 #include <algorithm>
 
@@ -38,35 +39,6 @@ const ProgramState *liger::fusedState(const BlendedTrace &Path, size_t T,
   if (J >= States.size() || States[J].Values.empty())
     return nullptr;
   return &States[J];
-}
-
-std::string
-liger::stateKey(const LigerConfig &Config, const ProgramState &State,
-                std::vector<std::vector<std::string>> &ValueTokens) {
-  std::string Key;
-  ValueTokens.reserve(State.Values.size());
-  for (const Value &V : State.Values) {
-    bool IsObject = V.isArray() || V.isStruct();
-    if (IsObject) {
-      std::vector<std::string> Tokens = valueTokens(V);
-      if (Tokens.size() > Config.MaxFlattenedValues)
-        Tokens.resize(Config.MaxFlattenedValues);
-      ValueTokens.push_back(std::move(Tokens));
-    } else {
-      ValueTokens.push_back({valueToken(V)});
-    }
-    // The kind tag keeps the key injective: a primitive embeds its
-    // token directly while an object runs f1 over its flattening, so
-    // int 5 and the one-element array [5] — identical token streams —
-    // must not share an entry.
-    Key += IsObject ? 'O' : 'P';
-    for (const std::string &Token : ValueTokens.back()) {
-      Key += Token;
-      Key += '\x1f'; // token separator
-    }
-    Key += '\x1e'; // value separator (tokens can't merge across values)
-  }
-  return Key;
 }
 
 //===----------------------------------------------------------------------===//
@@ -103,103 +75,6 @@ Var LigerEncoder::embedStatement(const Stmt *S, EncodeContext &Ctx) const {
   });
   Ctx.StmtCache.emplace(S, H);
   return H;
-}
-
-std::vector<Var>
-LigerEncoder::embedStatesBatch(std::vector<StateEmbedRequest> &Requests,
-                               StateMemo &Memo, FusionStats *Stats) const {
-  // Per-variable embeddings h'_{v}: primitives embed their token
-  // directly; object (array/struct) values run f1 over their flattened
-  // attr sequence (Eq. 3). One f1 walk per object value, in request
-  // order.
-  std::vector<TrieWalk> F1Walks;
-  for (StateEmbedRequest &Rq : Requests) {
-    for (size_t I = 0; I < Rq.State->Values.size(); ++I) {
-      const Value &V = Rq.State->Values[I];
-      if (!V.isArray() && !V.isStruct())
-        continue;
-      TrieWalk W{Rq.Ctx, {}};
-      W.Keys.reserve(Rq.ValueTokens[I].size());
-      for (const std::string &Token : Rq.ValueTokens[I])
-        W.Keys.push_back(static_cast<uint64_t>(Vocab.lookup(Token)));
-      F1Walks.push_back(std::move(W));
-    }
-  }
-  // An empty flattening ends at the f1 root (zeros).
-  std::vector<uint32_t> F1Ends =
-      walkTrie(F1, Memo.F1Trie, F1Walks, Memo, Stats);
-
-  // f2 folds each state's variable embeddings (fixed variable order)
-  // into the state vector.
-  std::vector<TrieWalk> F2Walks;
-  F2Walks.reserve(Requests.size());
-  size_t F1Walk = 0;
-  for (StateEmbedRequest &Rq : Requests) {
-    TrieWalk W{Rq.Ctx, {}};
-    W.Keys.reserve(Rq.State->Values.size());
-    for (size_t I = 0; I < Rq.State->Values.size(); ++I) {
-      const Value &V = Rq.State->Values[I];
-      W.Keys.push_back(
-          V.isArray() || V.isStruct()
-              ? ObjectInput | F1Ends[F1Walk++]
-              : static_cast<uint64_t>(Vocab.lookup(Rq.ValueTokens[I][0])));
-    }
-    F2Walks.push_back(std::move(W));
-  }
-  std::vector<uint32_t> F2Ends =
-      walkTrie(F2, Memo.F2Trie, F2Walks, Memo, Stats);
-
-  std::vector<Var> Out;
-  Out.reserve(Requests.size());
-  for (size_t R = 0; R < Requests.size(); ++R) {
-    Var H = Memo.F2Trie.Nodes[F2Ends[R]].H;
-    Memo.Cache.emplace(std::move(Requests[R].Key), H);
-    Out.push_back(H);
-  }
-  return Out;
-}
-
-std::vector<uint32_t> LigerEncoder::walkTrie(const RecurrentCell &Cell,
-                                             PrefixTrie &Trie,
-                                             const std::vector<TrieWalk> &Walks,
-                                             const StateMemo &Memo,
-                                             FusionStats *Stats) const {
-  if (Trie.Nodes.empty())
-    Trie.Nodes.push_back(Cell.initial());
-  size_t Depth = 0;
-  for (const TrieWalk &W : Walks)
-    Depth = std::max(Depth, W.Keys.size());
-  std::vector<uint32_t> At(Walks.size(), 0);
-  std::vector<Var> Ins;
-  std::vector<RecState> Prev;
-  for (size_t D = 0; D < Depth; ++D) {
-    // A new edge takes the next node index; a walk reaching an edge
-    // another walk created this depth shares that pending node.
-    Ins.clear();
-    Prev.clear();
-    auto First = static_cast<uint32_t>(Trie.Nodes.size());
-    for (size_t W = 0; W < Walks.size(); ++W) {
-      if (D >= Walks[W].Keys.size())
-        continue;
-      uint64_t Key = Walks[W].Keys[D];
-      auto [It, Inserted] = Trie.Children.try_emplace(
-          {At[W], Key}, First + static_cast<uint32_t>(Ins.size()));
-      if (Inserted) {
-        Ins.push_back((Key & ObjectInput)
-                          ? Memo.F1Trie.Nodes[Key & ~ObjectInput].H
-                          : lookupToken(static_cast<int>(Key), *Walks[W].Ctx));
-        Prev.push_back(Trie.Nodes[At[W]]);
-      }
-      At[W] = It->second;
-    }
-    if (Ins.empty())
-      continue;
-    std::vector<RecState> Next = Cell.stepBatch(Ins, Prev);
-    Trie.Nodes.insert(Trie.Nodes.end(), Next.begin(), Next.end());
-    if (Stats)
-      Stats->StateCellSteps += Next.size();
-  }
-  return At;
 }
 
 Var LigerEncoder::fuseStep(const BlendedTrace &Path, size_t J,
@@ -266,6 +141,9 @@ LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
   std::vector<EncodeContext> Ctxs(B);
   for (EncodeContext &Ctx : Ctxs)
     Ctx.Stats = Stats;
+  auto Token = [&](uint32_t Sample, int Id) {
+    return lookupToken(Id, Ctxs[Sample]);
+  };
 
   // One lane per encoded blended trace, in sample-major order.
   struct Lane {
@@ -302,7 +180,7 @@ LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
     size_t CompIdx;
   };
   std::vector<std::vector<Var>> LaneStates(Lanes.size());
-  std::vector<StateEmbedRequest> Requests;
+  std::vector<StateRequest> Requests;
   std::vector<PendingSlot> Pending; ///< Pending[K] awaits Requests[K].
   std::vector<size_t> Active;
   std::vector<Var> Ins;
@@ -325,10 +203,10 @@ LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
         const ProgramState *State = fusedState(*L.Path, T, J);
         if (!State)
           continue;
-        StateEmbedRequest Rq;
-        Rq.Ctx = &Ctxs[L.Sample];
+        StateRequest Rq;
+        Rq.Owner = static_cast<uint32_t>(L.Sample);
         Rq.State = State;
-        Rq.Key = stateKey(Config, *State, Rq.ValueTokens);
+        Rq.Key = stateKey(Config.MaxFlattenedValues, *State, Rq.ValueTokens);
         auto It = BatchStates.Cache.find(Rq.Key);
         if (It != BatchStates.Cache.end()) {
           LaneStates[Li].push_back(It->second);
@@ -340,8 +218,9 @@ LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
       }
     }
     if (!Requests.empty()) {
-      std::vector<Var> Embedded =
-          embedStatesBatch(Requests, BatchStates, Stats);
+      std::vector<Var> Embedded = embedStates(
+          F1, F2, Vocab, /*VarTags=*/{}, Requests, BatchStates, Token,
+          [](uint32_t, uint32_t, const Var &Value) { return Value; });
       for (size_t K = 0; K < Pending.size(); ++K)
         LaneStates[Pending[K].LaneIdx][Pending[K].CompIdx] = Embedded[K];
     }
@@ -371,6 +250,9 @@ LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
       L.Memory.push_back(Next[K].H);
     }
   }
+
+  if (Stats)
+    Stats->StateCellSteps += BatchStates.cellSteps();
 
   // Per-sample assembly in path-major order.
   std::vector<LigerEncoding> Out(B);

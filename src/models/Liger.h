@@ -40,7 +40,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace liger {
@@ -63,8 +62,9 @@ struct LigerConfig {
 
 /// What the encoder reads of a method's traces. Both encoder walks —
 /// the autodiff LigerEncoder and the forward-only LigerInference — read
-/// traces only through the three functions below, so they agree on
-/// which paths, steps and states feed an encoding.
+/// traces only through the two functions below and stateKey
+/// (models/StateTrie.h), so they agree on which paths, steps and states
+/// feed an encoding.
 
 /// The part of one blended trace the encoder reads: its first Steps
 /// steps, each fusing the states of its first NumConcrete concrete
@@ -83,12 +83,6 @@ std::optional<PathExtent> pathExtent(const LigerConfig &Config,
 /// The state concrete trace \p T of \p Path fuses at step \p J, or
 /// null when that trace has ended or its state there is empty.
 const ProgramState *fusedState(const BlendedTrace &Path, size_t T, size_t J);
-
-/// The state-cache key of \p State, filling \p ValueTokens with each
-/// variable's flattened token sequence (object values truncated to
-/// MaxFlattenedValues). Equal keys mean bitwise-equal state embeddings.
-std::string stateKey(const LigerConfig &Config, const ProgramState &State,
-                     std::vector<std::vector<std::string>> &ValueTokens);
 
 /// Attention introspection for §6.1.2 (average fusion weight assigned
 /// to the symbolic (static) feature vector), plus the state-embedding
@@ -143,33 +137,6 @@ public:
   const LigerConfig &config() const { return Config; }
 
 private:
-  /// Memo of one state cell (f1 or f2) over the states of one encode:
-  /// node 0 is the cell's initial state, and the child of node P along
-  /// input key K holds Cell.step(input(K), node P). A key is a token id
-  /// (f1 inputs, primitive f2 inputs) or ObjectInput | f1 node (an
-  /// object's f2 input), so equal keys mean bitwise-equal inputs and a
-  /// shared node has exactly the value of every chain it stands for.
-  struct PrefixTrie {
-    using Edge = std::pair<uint32_t, uint64_t>; ///< (parent, input key)
-    struct EdgeHash {
-      size_t operator()(const Edge &E) const {
-        return std::hash<uint64_t>()(E.second) * 31 + E.first;
-      }
-    };
-    std::vector<RecState> Nodes;
-    std::unordered_map<Edge, uint32_t, EdgeHash> Children;
-  };
-  static constexpr uint64_t ObjectInput = uint64_t(1) << 63;
-
-  /// State embeddings of one encodeBatch call. Equal states (by
-  /// stateKey) share one node; states that miss walk the f1/f2 prefix
-  /// tries, so each distinct object-value prefix and variable prefix is
-  /// one graph step.
-  struct StateMemo {
-    std::unordered_map<std::string, Var> Cache;
-    PrefixTrie F1Trie, F2Trie;
-  };
-
   /// Per-sample forward caches: statement embeddings recur across loop
   /// iterations, token embeddings (keyed by vocabulary id) everywhere.
   struct EncodeContext {
@@ -178,40 +145,8 @@ private:
     FusionStats *Stats = nullptr;
   };
 
-  /// One state still to embed: the owning sample's context (for its
-  /// token cache), the state, and its cache key and per-variable token
-  /// sequences.
-  struct StateEmbedRequest {
-    EncodeContext *Ctx;
-    const ProgramState *State;
-    std::string Key;
-    std::vector<std::vector<std::string>> ValueTokens;
-  };
-
-  /// One walk down a prefix trie: its input keys, resolved against the
-  /// token cache of \p Ctx where the trie lacks an edge.
-  struct TrieWalk {
-    EncodeContext *Ctx;
-    std::vector<uint64_t> Keys;
-  };
-
   Var lookupToken(int Id, EncodeContext &Ctx) const;
   Var embedStatement(const Stmt *S, EncodeContext &Ctx) const;
-  /// Embeds every requested state by walking the prefix tries of
-  /// \p Memo (f1 over each object value's tokens, then f2 over each
-  /// state's variable inputs), caches each result under its request's
-  /// key, and returns the embeddings in request order.
-  std::vector<Var> embedStatesBatch(std::vector<StateEmbedRequest> &Requests,
-                                    StateMemo &Memo,
-                                    FusionStats *Stats) const;
-  /// Advances every walk through \p Trie depth by depth. At each depth
-  /// the edges the trie lacks (deduplicated across walks) run as one
-  /// Cell.stepBatch; edges it holds cost no step. Returns each walk's
-  /// final node.
-  std::vector<uint32_t> walkTrie(const RecurrentCell &Cell, PrefixTrie &Trie,
-                                 const std::vector<TrieWalk> &Walks,
-                                 const StateMemo &Memo,
-                                 FusionStats *Stats) const;
   /// Fuses step \p J of one path: the statement and the step's state
   /// embeddings \p StateComps through the fusion rule. Returns null when
   /// the step has no components.

@@ -21,11 +21,8 @@ using namespace liger;
 void BinaryWriter::writeBytes(const void *Data, size_t Size) {
   if (Failed || Size == 0)
     return;
-  if (std::fwrite(Data, 1, Size, F) != Size) {
+  if (std::fwrite(Data, 1, Size, F) != Size)
     Failed = true;
-    return;
-  }
-  Written += Size;
 }
 
 void BinaryWriter::writeString(const std::string &S) {

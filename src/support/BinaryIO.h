@@ -45,14 +45,10 @@ public:
   /// u64 byte length followed by the raw bytes.
   void writeString(const std::string &S);
 
-  /// Bytes successfully written so far.
-  uint64_t bytesWritten() const { return Written; }
-
   bool ok() const { return !Failed; }
 
 private:
   FILE *F = nullptr;
-  uint64_t Written = 0;
   bool Failed = false;
 };
 

@@ -124,10 +124,11 @@ TEST(TaskLibraryTest, VariantsAreSemanticallyEquivalent) {
         EXPECT_EQ(Error0, ErrorV)
             << Task.Key << " variant " << Task.Variants[V].Algorithm
             << " fault divergence";
-        if (!Error0 && !ErrorV)
+        if (!Error0 && !ErrorV) {
           EXPECT_TRUE(Expected.equals(Got))
               << Task.Key << " variant " << Task.Variants[V].Algorithm
               << ": " << Expected.str() << " vs " << Got.str();
+        }
       }
     }
   }

@@ -7,6 +7,8 @@
 #include "eval/Experiments.h"
 #include "eval/Metrics.h"
 #include "eval/Training.h"
+#include "models/Dypro.h"
+#include "models/Liger.h"
 
 #include "nn/Module.h"
 #include "support/BinaryIO.h"
@@ -259,7 +261,7 @@ TEST(TrainingIntegrationTest, ParallelEpochMatchesSerialBitwise) {
   // Training distributes each mini-batch's samples over a worker pool,
   // but per-sample gradients accumulate into per-sample sinks that are
   // reduced in sample-index order — so any thread count must produce
-  // bitwise-identical losses and parameters.
+  // bitwise-identical losses and parameters, for LIGER and for DYPRO.
   ExperimentScale Scale;
   Scale.MethodsMed = 30;
   Scale.Epochs = 2;
@@ -272,36 +274,50 @@ TEST(TrainingIntegrationTest, ParallelEpochMatchesSerialBitwise) {
   NameTask Task = buildNameTask(Scale, false);
   ASSERT_GE(Task.Split.Train.size(), 10u);
 
-  auto RunWith = [&](size_t Threads,
+  auto RunWith = [&](NameModel Model, size_t Threads,
                      std::vector<std::vector<float>> &ParamsOut) {
+    auto Train = [&](auto &Net) {
+      NameModelHooks Hooks;
+      Hooks.Loss = [&](const MethodSample &S) { return Net.loss(S); };
+      Hooks.Predict = [&](const MethodSample &S) { return Net.predict(S); };
+      Hooks.Params = &Net.params();
+      TrainOptions Options = Scale.trainOptions();
+      Options.Threads = Threads;
+      Options.SelectBestOnValidation = false;
+      TrainResult Result = trainNameModel(
+          Hooks, Task.Split.Train, std::vector<MethodSample>(), Options);
+      for (const Var &P : Net.params().params())
+        ParamsOut.emplace_back(P->Value.data(),
+                               P->Value.data() + P->Value.size());
+      return Result.FinalTrainLoss;
+    };
+    if (Model == NameModel::Dypro) {
+      DyproConfig Config;
+      Config.EmbedDim = Scale.EmbedDim;
+      Config.Hidden = Scale.Hidden;
+      Config.AttnHidden = Scale.Hidden;
+      DyproNamePredictor Net(Task.Joint, Task.Target, Config, Scale.Seed);
+      return Train(Net);
+    }
     LigerConfig Config;
     Config.EmbedDim = Scale.EmbedDim;
     Config.Hidden = Scale.Hidden;
     Config.AttnHidden = Scale.Hidden;
     LigerNamePredictor Net(Task.Joint, Task.Target, Config, Scale.Seed);
-    NameModelHooks Hooks;
-    Hooks.Loss = [&](const MethodSample &S) { return Net.loss(S); };
-    Hooks.Predict = [&](const MethodSample &S) { return Net.predict(S); };
-    Hooks.Params = &Net.params();
-    TrainOptions Options = Scale.trainOptions();
-    Options.Threads = Threads;
-    Options.SelectBestOnValidation = false;
-    TrainResult Result = trainNameModel(Hooks, Task.Split.Train,
-                                        std::vector<MethodSample>(), Options);
-    for (const Var &P : Net.params().params())
-      ParamsOut.emplace_back(P->Value.data(),
-                             P->Value.data() + P->Value.size());
-    return Result.FinalTrainLoss;
+    return Train(Net);
   };
 
-  std::vector<std::vector<float>> SerialParams, ParallelParams;
-  double SerialLoss = RunWith(1, SerialParams);
-  double ParallelLoss = RunWith(4, ParallelParams);
+  for (NameModel Model : {NameModel::Liger, NameModel::Dypro}) {
+    SCOPED_TRACE(Model == NameModel::Liger ? "LIGER" : "DYPRO");
+    std::vector<std::vector<float>> SerialParams, ParallelParams;
+    double SerialLoss = RunWith(Model, 1, SerialParams);
+    double ParallelLoss = RunWith(Model, 4, ParallelParams);
 
-  EXPECT_EQ(SerialLoss, ParallelLoss);
-  ASSERT_EQ(SerialParams.size(), ParallelParams.size());
-  for (size_t I = 0; I < SerialParams.size(); ++I)
-    EXPECT_EQ(SerialParams[I], ParallelParams[I]) << "parameter " << I;
+    EXPECT_EQ(SerialLoss, ParallelLoss);
+    ASSERT_EQ(SerialParams.size(), ParallelParams.size());
+    for (size_t I = 0; I < SerialParams.size(); ++I)
+      EXPECT_EQ(SerialParams[I], ParallelParams[I]) << "parameter " << I;
+  }
 }
 
 TEST(TrainingIntegrationTest, LockstepThreadedEpochIsBitwise) {

@@ -573,8 +573,9 @@ TEST(InterpHardeningTest, AllTerminalStatusesWellFormed) {
       ASSERT_NE(S.Statement, nullptr) << C.Name;
       EXPECT_EQ(S.State.size(), R.VarNames.size()) << C.Name;
     }
-    if (C.Expected != ExecStatus::Ok)
+    if (C.Expected != ExecStatus::Ok) {
       EXPECT_FALSE(R.ErrorMessage.empty()) << C.Name;
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 #include "lang/Parser.h"
 #include "nn/GradCheck.h"
 #include "nn/Optim.h"
+#include "oracle/DyproReference.h"
 #include "support/StringUtils.h"
 #include "testgen/TraceCollector.h"
 
@@ -22,6 +23,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 
@@ -790,10 +792,37 @@ void useSharedPrefixTrace(MethodSample &Sample) {
   Sample.Traces.Paths.assign(1, Path);
 }
 
-void checkSharedPrefixGradients(CellKind Cell) {
+enum class SharedPrefixModel { Liger, Dypro };
+
+/// Finite differences through the state-embedding tries of \p Model's
+/// encoder, on a trace whose states share f1 and f2 prefixes: a shared
+/// prefix node sums its consumers' gradients before its one backward
+/// step. The tolerance is tight: correct gradients stay within 2e-4 at
+/// this step size, while cutting the gradient into previously built
+/// prefix nodes errs by 1.6e-3 or more.
+void checkSharedPrefixGradients(SharedPrefixModel Model, CellKind Cell) {
   std::vector<MethodSample> Samples = tinyCorpus();
   ASSERT_NO_FATAL_FAILURE(useSharedPrefixTrace(Samples[0]));
   TinyVocabs V = buildVocabs(Samples);
+  const double Epsilon = 3e-3, Tolerance = 5e-4;
+  auto Check = [&](ParamStore &Params, const std::function<Var()> &Loss,
+                   const char *What) {
+    GradCheckResult R = checkGradients(Params, Loss, Epsilon, Tolerance);
+    EXPECT_TRUE(R.Ok) << What << ": max rel error " << R.MaxRelError
+                      << " at " << R.WorstParam;
+  };
+
+  if (Model == SharedPrefixModel::Dypro) {
+    DyproConfig Config;
+    Config.EmbedDim = 3;
+    Config.Hidden = 3;
+    Config.AttnHidden = 3;
+    Config.Cell = Cell;
+    DyproNamePredictor Net(V.Joint, V.Target, Config, 42);
+    Check(Net.params(), [&] { return Net.loss(Samples[0]); }, "loss");
+    return;
+  }
+
   LigerConfig Config;
   Config.EmbedDim = 3;
   Config.Hidden = 3;
@@ -808,33 +837,87 @@ void checkSharedPrefixGradients(CellKind Cell) {
   Net.encoder().encode(Samples[0].Traces, &Stats);
   EXPECT_EQ(Stats.StateCellSteps, 4u + 16u);
 
-  // Per-sample loss: a shared prefix node sums its consumers' gradients
-  // before its one backward step. The tolerance is tight: correct
-  // gradients stay within 2e-4 at this step size, while cutting the
-  // gradient into previously built prefix nodes errs by 1.6e-3 or more.
-  const double Epsilon = 3e-3, Tolerance = 5e-4;
-  GradCheckResult PerSample = checkGradients(
-      Net.params(), [&] { return Net.loss(Samples[0]); }, Epsilon, Tolerance);
-  EXPECT_TRUE(PerSample.Ok) << "max rel error " << PerSample.MaxRelError
-                            << " at " << PerSample.WorstParam;
-
+  Check(Net.params(), [&] { return Net.loss(Samples[0]); }, "loss");
   // Batch-scope tries additionally share prefixes across samples.
   std::vector<const MethodSample *> Group = {&Samples[0], &Samples[1],
                                              &Samples[0]};
-  GradCheckResult Batched = checkGradients(
+  Check(
       Net.params(),
-      [&] { return sumV(stackScalars(Net.lossBatch(Group))); }, Epsilon,
-      Tolerance);
-  EXPECT_TRUE(Batched.Ok) << "max rel error " << Batched.MaxRelError << " at "
-                          << Batched.WorstParam;
+      [&] { return sumV(stackScalars(Net.lossBatch(Group))); }, "lossBatch");
 }
 
 } // namespace
 
 TEST(GradCheckTest, LigerLossSharedPrefixesGru) {
-  checkSharedPrefixGradients(CellKind::Gru);
+  checkSharedPrefixGradients(SharedPrefixModel::Liger, CellKind::Gru);
 }
 
 TEST(GradCheckTest, LigerLossSharedPrefixesLstm) {
-  checkSharedPrefixGradients(CellKind::Lstm);
+  checkSharedPrefixGradients(SharedPrefixModel::Liger, CellKind::Lstm);
+}
+
+TEST(GradCheckTest, DyproLossSharedPrefixesGru) {
+  checkSharedPrefixGradients(SharedPrefixModel::Dypro, CellKind::Gru);
+}
+
+TEST(GradCheckTest, DyproLossSharedPrefixesLstm) {
+  checkSharedPrefixGradients(SharedPrefixModel::Dypro, CellKind::Lstm);
+}
+
+//===----------------------------------------------------------------------===//
+// DYPRO against its chain-per-state reference encode
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+bool bitwiseEqual(const Var &A, const Var &B) {
+  return A->Value.size() == B->Value.size() &&
+         std::memcmp(A->Value.data(), B->Value.data(),
+                     A->Value.size() * sizeof(float)) == 0;
+}
+
+/// DyproEncoder::encode against oracle::referenceDyproEncode on the
+/// tiny corpus, the shared-prefix trace, and that trace with its last
+/// variable unnamed (its f2 input starts with the zero name).
+void expectDyproMatchesReference(CellKind Cell) {
+  std::vector<MethodSample> Samples = tinyCorpus();
+  MethodSample Shared = Samples[0];
+  ASSERT_NO_FATAL_FAILURE(useSharedPrefixTrace(Shared));
+  MethodSample Unnamed = Shared;
+  ASSERT_GE(Unnamed.Traces.VarNames.size(), 3u);
+  Unnamed.Traces.VarNames.resize(2);
+  Samples.push_back(Shared);
+  Samples.push_back(Unnamed);
+  TinyVocabs V = buildVocabs(Samples);
+
+  DyproConfig Config;
+  Config.EmbedDim = 12;
+  Config.Hidden = 12;
+  Config.AttnHidden = 12;
+  Config.Cell = Cell;
+  ParamStore Store;
+  Rng R(42);
+  DyproEncoder Encoder(Store, V.Joint, Config, R);
+  for (size_t S = 0; S < Samples.size(); ++S) {
+    DyproEncoder::Encoding Got = Encoder.encode(Samples[S].Traces);
+    DyproEncoder::Encoding Want = oracle::referenceDyproEncode(
+        Store, V.Joint, Config, Samples[S].Traces);
+    EXPECT_TRUE(bitwiseEqual(Got.ProgramEmbedding, Want.ProgramEmbedding))
+        << "sample " << S;
+    ASSERT_EQ(Got.StateMemory.size(), Want.StateMemory.size())
+        << "sample " << S;
+    for (size_t I = 0; I < Got.StateMemory.size(); ++I)
+      EXPECT_TRUE(bitwiseEqual(Got.StateMemory[I], Want.StateMemory[I]))
+          << "sample " << S << " state " << I;
+  }
+}
+
+} // namespace
+
+TEST(DyproEquivalenceTest, EncodeMatchesReferenceGru) {
+  expectDyproMatchesReference(CellKind::Gru);
+}
+
+TEST(DyproEquivalenceTest, EncodeMatchesReferenceLstm) {
+  expectDyproMatchesReference(CellKind::Lstm);
 }
