@@ -348,9 +348,17 @@ void BM_GruSequenceBatched(benchmark::State &State) {
   }
   State.SetItemsProcessed(State.iterations() * B * Inputs.size());
 }
+// Lanes 1, 2 and 4 are the lane counts of one sample's paths and trie
+// depths in per-sample training; at B = 1 stepBatch itself takes step().
 BENCHMARK(BM_GruSequenceBatched)
+    ->Args({1, 0})
     ->Args({1, 1})
+    ->Args({2, 0})
+    ->Args({2, 1})
     ->Args({3, 0})
+    ->Args({3, 1})
+    ->Args({4, 0})
+    ->Args({4, 1})
     ->Args({3, 1})
     ->Args({8, 0})
     ->Args({8, 1})
@@ -384,48 +392,6 @@ void BM_AttentionScore(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * T);
 }
 BENCHMARK(BM_AttentionScore);
-
-// Q queries against one shared prepared memory, forward + backward:
-// Arg(1) scores the whole block through the single multi-query node,
-// Arg(0) loops contextOf per query. Bitwise-identical contexts; the
-// delta is the amortized key-memory walk (the beam-decode shape).
-void BM_AttentionScoreMultiQuery(benchmark::State &State) {
-  size_t Q = static_cast<size_t>(State.range(0));
-  bool Batched = State.range(1) != 0;
-  Rng R(1);
-  ParamStore Store;
-  const size_t Dim = 100, T = 16;
-  AttentionScorer Attn(Store, "attn", Dim, Dim, Dim, R);
-  std::vector<Var> Queries;
-  for (size_t I = 0; I < Q; ++I)
-    Queries.push_back(constant(Tensor::uniform(Dim, 1.0f, R)));
-  std::vector<Var> Keys;
-  for (size_t I = 0; I < T; ++I)
-    Keys.push_back(constant(Tensor::uniform(Dim, 1.0f, R)));
-  GraphArena Arena;
-  GraphArena::Scope Scope(Arena);
-  for (auto _ : State) {
-    AttentionScorer::Memory Mem = Attn.prepare(Keys);
-    std::vector<AttentionScorer::Result> Out;
-    if (Batched)
-      Out = Attn.contextOfMulti(Queries, Mem);
-    else
-      for (const Var &Query : Queries)
-        Out.push_back(Attn.contextOf(Query, Mem));
-    std::vector<Var> Norms;
-    Norms.reserve(Out.size());
-    for (const AttentionScorer::Result &Ctx : Out)
-      Norms.push_back(dot(Ctx.Context, Ctx.Context));
-    backward(sumV(stackScalars(Norms)));
-    Store.zeroGrads();
-    Arena.reset();
-  }
-  State.SetItemsProcessed(State.iterations() * Q * T);
-}
-BENCHMARK(BM_AttentionScoreMultiQuery)
-    ->Args({1, 1})
-    ->Args({4, 0})
-    ->Args({4, 1});
 
 void BM_DecoderStep(benchmark::State &State) {
   // Teacher-forced decode over a 20-vector memory, forward + backward:

@@ -119,7 +119,7 @@ step "sanitized encoder prefix tries + empty flattening (build-asan)"
 filtered "$REPO/build-asan/tests/models_tests" \
   'GradCheckTest.LigerLossSharedPrefixesGru:GradCheckTest.LigerLossSharedPrefixesLstm:GradCheckTest.DyproLossSharedPrefixesGru:GradCheckTest.DyproLossSharedPrefixesLstm:DyproEquivalenceTest.EncodeMatchesReferenceGru:DyproEquivalenceTest.EncodeMatchesReferenceLstm:BatchedLossEquivalenceTest.LigerLossBatchMatchesLoss:DyproTest.EmptyFlatteningEndsAtF1Root'
 filtered "$REPO/build-asan/tests/serve_tests" \
-  'InferenceEquivalenceTest.EncoderTriesStepEachPrefixOnce:InferenceEquivalenceTest.EmptyFlatteningBitwise'
+  'InferenceEquivalenceTest.EncoderTriesStepEachPrefixOnce:InferenceEquivalenceTest.EmptyFlatteningBitwise:InferenceEquivalenceTest.StateSharedAcrossPathsCountsOnce'
 
 step "scalar fallback build + ctest (build-scalar, LIGER_NATIVE_SIMD=OFF)"
 cmake -B "$REPO/build-scalar" -S "$REPO" -DLIGER_NATIVE_SIMD=OFF

@@ -143,35 +143,6 @@ std::string applyDefect(std::string Source, DefectKind Kind, Rng &R) {
   LIGER_UNREACHABLE("covered switch");
 }
 
-/// Counts the trace-level statements of a function (the "too small"
-/// filter threshold).
-size_t countStatements(const Stmt *S) {
-  if (!S)
-    return 0;
-  switch (S->kind()) {
-  case StmtKind::Block: {
-    size_t Total = 0;
-    for (const Stmt *Child : cast<BlockStmt>(S)->body())
-      Total += countStatements(Child);
-    return Total;
-  }
-  case StmtKind::If: {
-    const auto *If = cast<IfStmt>(S);
-    return 1 + countStatements(If->thenStmt()) +
-           countStatements(If->elseStmt());
-  }
-  case StmtKind::While:
-    return 1 + countStatements(cast<WhileStmt>(S)->body());
-  case StmtKind::For: {
-    const auto *For = cast<ForStmt>(S);
-    return 1 + countStatements(For->init()) + countStatements(For->step()) +
-           countStatements(For->body());
-  }
-  default:
-    return 1;
-  }
-}
-
 /// Stable per-task seed: mixing through StableHash decorrelates the
 /// streams of adjacent indices (plain Seed + Index would make worker
 /// RNGs start one step apart).
@@ -209,7 +180,7 @@ bool buildSample(const std::string &Source, const std::string &MethodName,
     return false;
   }
 
-  if (countStatements(Fn->Body) < 3) {
+  if (traceStatementCount(Fn->Body) < MinTraceStatements) {
     ++Stats.TooSmall;
     return false;
   }
@@ -270,6 +241,33 @@ void accumulateStats(CorpusStats &Into, const CorpusStats &From) {
 }
 
 } // namespace
+
+size_t liger::traceStatementCount(const Stmt *S) {
+  if (!S)
+    return 0;
+  switch (S->kind()) {
+  case StmtKind::Block: {
+    size_t Total = 0;
+    for (const Stmt *Child : cast<BlockStmt>(S)->body())
+      Total += traceStatementCount(Child);
+    return Total;
+  }
+  case StmtKind::If: {
+    const auto *If = cast<IfStmt>(S);
+    return 1 + traceStatementCount(If->thenStmt()) +
+           traceStatementCount(If->elseStmt());
+  }
+  case StmtKind::While:
+    return 1 + traceStatementCount(cast<WhileStmt>(S)->body());
+  case StmtKind::For: {
+    const auto *For = cast<ForStmt>(S);
+    return 1 + traceStatementCount(For->init()) +
+           traceStatementCount(For->step()) + traceStatementCount(For->body());
+  }
+  default:
+    return 1;
+  }
+}
 
 std::vector<MethodSample>
 liger::generateMethodCorpus(const CorpusOptions &Options,

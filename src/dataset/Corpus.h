@@ -96,6 +96,16 @@ struct CorpusStats {
   double PhaseReplaySeconds = 0;
 };
 
+/// The "too small" filter: a method whose body has fewer than
+/// MinTraceStatements trace-level statements is dropped from the corpus
+/// (and rejected by the serving path, so served methods look like
+/// training methods).
+constexpr size_t MinTraceStatements = 3;
+
+/// Counts the trace-level statements of \p S: a block sums its
+/// children; if, while and for count themselves plus their parts.
+size_t traceStatementCount(const Stmt *S);
+
 /// Generates the method-name corpus.
 std::vector<MethodSample> generateMethodCorpus(const CorpusOptions &Options,
                                                CorpusStats *Stats = nullptr);

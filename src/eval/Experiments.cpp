@@ -204,20 +204,6 @@ Code2SeqConfig code2seqConfig(const ExperimentScale &Scale) {
   return Config;
 }
 
-LigerConfig ligerConfig(const ExperimentScale &Scale,
-                        const LigerAblation &Ablation) {
-  LigerConfig Config;
-  Config.EmbedDim = Scale.EmbedDim;
-  Config.Hidden = Scale.Hidden;
-  Config.AttnHidden = Scale.Hidden;
-  Config.UseStaticFeature = Ablation.StaticFeature;
-  Config.UseDynamicFeature = Ablation.DynamicFeature;
-  Config.UseFusionAttention = Ablation.FusionAttention;
-  Config.MeanPoolPrograms = Ablation.MeanPool;
-  Config.MaxConcretePerPath = Scale.ExecutionsPerPath;
-  return Config;
-}
-
 DyproConfig dyproConfig(const ExperimentScale &Scale) {
   DyproConfig Config;
   Config.EmbedDim = Scale.EmbedDim;
@@ -293,6 +279,20 @@ void buildVocabularies(const std::vector<MethodSample> &Train,
 }
 
 } // namespace
+
+LigerConfig liger::ligerConfig(const ExperimentScale &Scale,
+                               const LigerAblation &Ablation) {
+  LigerConfig Config;
+  Config.EmbedDim = Scale.EmbedDim;
+  Config.Hidden = Scale.Hidden;
+  Config.AttnHidden = Scale.Hidden;
+  Config.UseStaticFeature = Ablation.StaticFeature;
+  Config.UseDynamicFeature = Ablation.DynamicFeature;
+  Config.UseFusionAttention = Ablation.FusionAttention;
+  Config.MeanPoolPrograms = Ablation.MeanPool;
+  Config.MaxConcretePerPath = Scale.ExecutionsPerPath;
+  return Config;
+}
 
 NameTask liger::buildNameTask(const ExperimentScale &Scale, bool Large) {
   CorpusOptions Options;

@@ -130,6 +130,12 @@ struct LigerAblation {
   bool MeanPool = false;
 };
 
+/// The LIGER configuration of an experiment at \p Scale under
+/// \p Ablation. Serving binds the full model's tensors through it
+/// (serveLigerConfig), so training and serving build the same shapes.
+LigerConfig ligerConfig(const ExperimentScale &Scale,
+                        const LigerAblation &Ablation);
+
 /// Result of one name-model run.
 struct NameRunResult {
   PrfScores Test;

@@ -66,15 +66,6 @@ public:
                                 const std::vector<Var> &Memory,
                                 size_t MaxLen) const;
 
-  /// Beam-search decoding with \p Width hypotheses: every step scores
-  /// the whole live hypothesis set through one multi-query attention
-  /// node and one batched cell step (the decoder-side consumer of the
-  /// batching scheduler). Width 1 reproduces decodeGreedy exactly.
-  /// Returned ids do not include Eos.
-  std::vector<int> decodeBeam(const Var &ProgramEmbedding,
-                              const std::vector<Var> &Memory, size_t MaxLen,
-                              size_t Width) const;
-
 private:
   /// One greedy decoding step: emits logits for the next token,
   /// attending over a prepared memory (key-side projections cached

@@ -52,8 +52,10 @@ DyproEncoder::Encoding DyproEncoder::encode(const MethodTraces &Traces) const {
   // The states each consumed trace steps through, as slots of the
   // state cache: a state's first occurrence requests its embedding,
   // later ones share its slot.
-  StateMemo Memo;
+  std::unordered_map<std::string, Var> Cache;
+  StateMemo<RecState> Memo;
   std::vector<StateRequest> Requests;
+  std::vector<Var *> Requested; ///< Requested[K] receives Requests[K].
   std::vector<std::vector<const Var *>> TraceStates;
   size_t Consumed = 0;
   for (const BlendedTrace &Path : Traces.Paths) {
@@ -69,14 +71,19 @@ DyproEncoder::Encoding DyproEncoder::encode(const MethodTraces &Traces) const {
         StateRequest Rq;
         Rq.State = &States.States[J];
         Rq.Key = stateKey(Config.MaxFlattenedValues, *Rq.State, Rq.ValueTokens);
-        auto [It, Inserted] = Memo.Cache.try_emplace(Rq.Key);
+        auto [It, Inserted] = Cache.try_emplace(Rq.Key);
         Slots.push_back(&It->second);
-        if (Inserted)
+        if (Inserted) {
+          Requested.push_back(&It->second);
           Requests.push_back(std::move(Rq));
+        }
       }
     }
   }
-  embedStates(F1, F2, Vocab, NameTags, Requests, Memo, Token, VarInput);
+  std::vector<Var> Embedded =
+      embedStates(F1, F2, Vocab, NameTags, Requests, Memo, Token, VarInput);
+  for (size_t K = 0; K < Requested.size(); ++K)
+    *Requested[K] = Embedded[K];
 
   Encoding Out;
   std::vector<Var> TraceEmbeddings;

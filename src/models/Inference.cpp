@@ -4,12 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Every function here is a values-only transliteration of its graph
-// counterpart (Liger.cpp / Decoder.cpp / Module.cpp), reading traces
-// through the same pathExtent / fusedState / stateKey and calling the same
-// inferops:: kernels the fused graph ops call; keep the two in lockstep
-// when either changes — InferenceEquivalenceTest compares them with
-// memcmp.
+// The engine binds weights and runs the forward kernels; the encode
+// itself is the shared encoder walk (models/EncoderWalk.h) over the
+// ScratchExec below. Each kernel call is a values-only transliteration
+// of its graph counterpart (Module.cpp / Graph.cpp / Decoder.cpp),
+// calling the same inferops:: kernels the fused graph ops call;
+// InferenceEquivalenceTest compares the two with memcmp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +17,7 @@
 
 #include "lang/AstTree.h"
 #include "models/Common.h"
-#include "models/StateTrie.h"
+#include "models/EncoderWalk.h"
 #include "nn/InferOps.h"
 
 #include <cstring>
@@ -68,30 +68,6 @@ size_t ScratchArena::floatsReserved() const {
   for (const Block &B : Blocks)
     Total += B.Data.size();
   return Total;
-}
-
-//===----------------------------------------------------------------------===//
-// Per-request memos
-//===----------------------------------------------------------------------===//
-
-void LigerInference::beginRequest() {
-  Arena.reset();
-  F1Trie.Nodes.assign(1, cellInitial(F1));
-  F1Trie.Children.clear();
-  F2Trie.Nodes.assign(1, cellInitial(F2));
-  F2Trie.Children.clear();
-  StmtMemo.clear();
-}
-
-uint32_t LigerInference::trieStep(PrefixTrie &Trie, const CellRef &Cell,
-                                  uint32_t Parent, const float *X) {
-  auto [It, Inserted] = Trie.Children.try_emplace({Parent, X}, 0);
-  if (Inserted) {
-    It->second = static_cast<uint32_t>(Trie.Nodes.size());
-    Trie.Nodes.push_back(cellStep(Cell, X, Trie.Nodes[Parent]));
-    ++Stats.StateCellSteps;
-  }
-  return It->second;
 }
 
 //===----------------------------------------------------------------------===//
@@ -188,10 +164,9 @@ void LigerInference::bind(const WeightImage &Image) {
 // Primitive module forwards
 //===----------------------------------------------------------------------===//
 
-const float *LigerInference::tokenEmbed(const std::string &Token) const {
+const float *LigerInference::tokenEmbed(int Id) const {
   // EmbeddingTable::lookup is a zero-copy row view; here it is plain
   // pointer arithmetic into the image.
-  int Id = Vocab.lookup(Token);
   return Embed + static_cast<size_t>(Id) * Config.EmbedDim;
 }
 
@@ -265,7 +240,8 @@ LigerInference::attnKeyProj(const AttnRef &Attn,
 const float *
 LigerInference::attnContext(const AttnRef &Attn,
                             const std::vector<const float *> &Keys,
-                            const float *KeyProj, const float *Query) {
+                            const float *KeyProj, const float *Query,
+                            const float **Weights) {
   size_t T = Keys.size();
   float *Ht = Arena.alloc(T * Attn.Hidden);
   float *A = Arena.alloc(T);
@@ -275,6 +251,8 @@ LigerInference::attnContext(const AttnRef &Attn,
                              Attn.KeyDim + Attn.QueryDim, Attn.W1, Attn.W2,
                              Attn.B2[0], Query, KeyProj, Keys.data(), Ht, A,
                              Out, Ws);
+  if (Weights)
+    *Weights = A;
   return Out;
 }
 
@@ -294,7 +272,7 @@ LigerInference::St LigerInference::treeNode(const AstTree &Tree) {
     ChildC[I] = Child.C;
   }
 
-  const float *X = tokenEmbed(Tree.Label);
+  const float *X = tokenEmbed(Vocab.lookup(Tree.Label));
 
   // childHSum: zeros / the single child / a left-to-right add chain.
   const float *HSum;
@@ -357,165 +335,119 @@ const float *LigerInference::fillSlot(std::vector<float> &Slot,
 }
 
 const float *LigerInference::embedStatement(const Stmt *S) {
-  // A repeated Stmt* in one request is a hit the persistent lookup
-  // below would also have counted.
-  auto [Memo, Inserted] = StmtMemo.try_emplace(S, nullptr);
-  if (!Inserted) {
-    ++Stats.StmtHits;
-    return Memo->second;
-  }
   AstTree Tree = buildStmtHeadTree(S);
   std::string Key;
   appendTreeKey(Tree, Key);
-  const float *Row;
   auto It = StmtCache.find(Key);
   if (It != StmtCache.end()) {
     ++Stats.StmtHits;
-    Row = It->second.data();
-  } else {
-    ++Stats.StmtMisses;
-    St R = treeNode(Tree);
-    Row = fillSlot(StmtCache[std::move(Key)], R.H);
-  }
-  Memo->second = Row;
-  return Row;
-}
-
-//===----------------------------------------------------------------------===//
-// State embedding (persistent cache)
-//===----------------------------------------------------------------------===//
-
-const float *LigerInference::embedState(const ProgramState &State) {
-  // The training walk's key: serving and training must agree on which
-  // states are "the same".
-  std::vector<std::vector<std::string>> ValueTokens;
-  std::string Key = stateKey(Config.MaxFlattenedValues, State, ValueTokens);
-
-  auto It = StateCache.find(Key);
-  if (It != StateCache.end()) {
-    ++Stats.StateHits;
     return It->second.data();
   }
-  ++Stats.StateMisses;
-
-  // Walk the request's tries: f1 over each object value's flattened
-  // attrs (an edge is a token's embedding row, one per token id), then
-  // f2 over the variable inputs (a primitive's embedding row, an
-  // object's f1 node H). Only prefixes no earlier state of this
-  // request took run a cell step.
-  uint32_t Var = 0;
-  for (size_t I = 0; I < State.Values.size(); ++I) {
-    const Value &V = State.Values[I];
-    const float *In;
-    if (V.isArray() || V.isStruct()) {
-      uint32_t Attr = 0;
-      for (const std::string &Token : ValueTokens[I])
-        Attr = trieStep(F1Trie, F1, Attr, tokenEmbed(Token));
-      In = F1Trie.Nodes[Attr].H;
-    } else {
-      In = tokenEmbed(ValueTokens[I][0]);
-    }
-    Var = trieStep(F2Trie, F2, Var, In);
-  }
-  // An empty state ends at the root: zeros, as the graph path's
-  // empty-input case.
-  return fillSlot(StateCache[std::move(Key)], F2Trie.Nodes[Var].H);
+  ++Stats.StmtMisses;
+  St R = treeNode(Tree);
+  return fillSlot(StmtCache[std::move(Key)], R.H);
 }
 
 //===----------------------------------------------------------------------===//
-// Encode walk
+// Encode: the encoder walk over arena floats
 //===----------------------------------------------------------------------===//
 
-const float *LigerInference::fuseStep(const BlendedTrace &Path, size_t J,
-                                      size_t NumConcrete,
-                                      const float *PrevH) {
-  std::vector<const float *> Components;
-  if (Config.UseStaticFeature)
-    Components.push_back(embedStatement(Path.Symbolic.Steps[J].Statement));
-  for (size_t T = 0; T < NumConcrete; ++T)
-    if (const ProgramState *State = fusedState(Path, T, J))
-      Components.push_back(embedState(*State));
-  if (Components.empty())
-    return nullptr;
-  // Every component is a cache slot (fillSlot): embedding, then its
-  // A1 key projection.
+/// The scratch executor: vectors are arena floats, a cell step over
+/// lanes is one cellStep per lane, and every fusion component is a
+/// persistent cache slot (fillSlot), so attention reads its key
+/// projections instead of computing them.
+struct LigerInference::ScratchExec {
+  using Vec = const float *;
+  using State = St;
 
-  if (Components.size() == 1)
-    return Components[0];
-  if (!Config.UseFusionAttention || J == 0) {
-    // meanPool: zeros + in-order axpy with the 1/N weight.
-    size_t H = Config.Hidden;
-    float *Out = Arena.allocZeroed(H);
-    float Inv = 1.0f / static_cast<float>(Components.size());
-    for (const float *Item : Components)
+  /// One bound cell stepping into the arena.
+  struct Cell {
+    LigerInference &E;
+    const CellRef &Ref;
+    St initial() const { return E.cellInitial(Ref); }
+    std::vector<St> stepBatch(const std::vector<const float *> &Xs,
+                              const std::vector<St> &Prev) const {
+      std::vector<St> Next;
+      Next.reserve(Xs.size());
+      for (size_t I = 0; I < Xs.size(); ++I)
+        Next.push_back(E.cellStep(Ref, Xs[I], Prev[I]));
+      return Next;
+    }
+  };
+
+  LigerInference &E;
+  Cell F1, F2, F3;
+  /// A repeated Stmt* in one request is a hit the persistent lookup
+  /// would also have counted.
+  std::unordered_map<const Stmt *, const float *> StmtMemo;
+
+  explicit ScratchExec(LigerInference &E)
+      : E(E), F1{E, E.F1}, F2{E, E.F2}, F3{E, E.F3} {}
+
+  const float *token(uint32_t, int Id) const { return E.tokenEmbed(Id); }
+  const float *statement(uint32_t, const Stmt *S) {
+    auto [It, Inserted] = StmtMemo.try_emplace(S, nullptr);
+    if (!Inserted)
+      ++E.Stats.StmtHits;
+    else
+      It->second = E.embedStatement(S);
+    return It->second;
+  }
+  const float *findState(const std::string &Key) const {
+    auto It = E.StateCache.find(Key);
+    return It == E.StateCache.end() ? nullptr : It->second.data();
+  }
+  const float *storeState(std::string Key, const float *H) {
+    return E.fillSlot(E.StateCache[std::move(Key)], H);
+  }
+  const float *zeros() { return E.Arena.allocZeroed(E.Config.Hidden); }
+  const float *meanPool(const std::vector<const float *> &Items) {
+    // Zeros + in-order axpy with the 1/N weight.
+    size_t H = E.Config.Hidden;
+    float *Out = E.Arena.allocZeroed(H);
+    float Inv = 1.0f / static_cast<float>(Items.size());
+    for (const float *Item : Items)
       kernels::axpy(H, Inv, Item, Out);
     return Out;
   }
-  float *KP = Arena.alloc(Components.size() * A1.Hidden);
-  for (size_t I = 0; I < Components.size(); ++I)
-    std::memcpy(KP + I * A1.Hidden, Components[I] + Config.Hidden,
-                A1.Hidden * sizeof(float));
-  return attnContext(A1, Components, KP, PrevH);
-}
-
-const float *
-LigerInference::encodePath(const BlendedTrace &Path, const PathExtent &Extent,
-                           std::vector<const float *> &StepMemory) {
-  St Trace = cellInitial(F3);
-  const float *PrevH = Trace.H;
-  for (size_t J = 0; J < Extent.Steps; ++J) {
-    const float *Fused = fuseStep(Path, J, Extent.NumConcrete, PrevH);
-    if (!Fused)
-      continue;
-    Trace = cellStep(F3, Fused, Trace);
-    PrevH = Trace.H;
-    StepMemory.push_back(Trace.H);
-  }
-  return Trace.H;
-}
-
-const float *
-LigerInference::encodeInternal(const MethodTraces &Traces,
-                               std::vector<const float *> &StepMemory) {
-  std::vector<const float *> PathEmbeddings;
-  for (const BlendedTrace &Path : Traces.Paths)
-    if (std::optional<PathExtent> Extent = pathExtent(Config, Path))
-      PathEmbeddings.push_back(encodePath(Path, *Extent, StepMemory));
-
-  size_t H = Config.Hidden;
-  if (PathEmbeddings.empty()) {
-    float *Zero = Arena.allocZeroed(H);
-    StepMemory.push_back(Zero);
-    return Zero;
-  }
-  const float *Program;
-  if (Config.MeanPoolPrograms) {
-    float *Out = Arena.allocZeroed(H);
-    float Inv = 1.0f / static_cast<float>(PathEmbeddings.size());
-    for (const float *Item : PathEmbeddings)
-      kernels::axpy(H, Inv, Item, Out);
-    Program = Out;
-  } else {
-    // maxPool: copy the first item, strict-> updates after.
-    float *Out = Arena.alloc(H);
-    std::memcpy(Out, PathEmbeddings[0], H * sizeof(float));
-    for (size_t I = 1; I < PathEmbeddings.size(); ++I) {
-      const float *Item = PathEmbeddings[I];
+  const float *maxPool(const std::vector<const float *> &Items) {
+    // Copy the first item, strict-> updates after.
+    size_t H = E.Config.Hidden;
+    float *Out = E.Arena.alloc(H);
+    std::memcpy(Out, Items[0], H * sizeof(float));
+    for (size_t I = 1; I < Items.size(); ++I)
       for (size_t D = 0; D < H; ++D)
-        if (Item[D] > Out[D])
-          Out[D] = Item[D];
-    }
-    Program = Out;
+        if (Items[I][D] > Out[D])
+          Out[D] = Items[I][D];
+    return Out;
   }
-  if (StepMemory.empty())
-    StepMemory.push_back(Program);
-  return Program;
+  std::pair<const float *, double>
+  attend(const std::vector<const float *> &Components, const float *Query) {
+    size_t AH = E.A1.Hidden;
+    float *KP = E.Arena.alloc(Components.size() * AH);
+    for (size_t I = 0; I < Components.size(); ++I)
+      std::memcpy(KP + I * AH, Components[I] + E.Config.Hidden,
+                  AH * sizeof(float));
+    const float *Weights = nullptr;
+    const float *Ctx = E.attnContext(E.A1, Components, KP, Query, &Weights);
+    return {Ctx, static_cast<double>(Weights[0])};
+  }
+  void countState(bool Hit) {
+    ++(Hit ? E.Stats.StateHits : E.Stats.StateMisses);
+  }
+  void countFusion(double) {}
+  void countCellSteps(size_t N) { E.Stats.StateCellSteps += N; }
+};
+
+LigerEncodingOf<const float *>
+LigerInference::encodeRequest(const MethodTraces &Traces) {
+  Arena.reset();
+  ScratchExec X(*this);
+  return std::move(encoderWalk(Config, Vocab, X, {&Traces})[0]);
 }
 
 const float *LigerInference::encode(const MethodTraces &Traces) {
-  beginRequest();
-  std::vector<const float *> StepMemory;
-  return encodeInternal(Traces, StepMemory);
+  return encodeRequest(Traces).ProgramEmbedding;
 }
 
 //===----------------------------------------------------------------------===//
@@ -578,20 +510,17 @@ std::vector<std::string>
 LigerInference::predictName(const MethodTraces &Traces,
                             std::vector<float> *Embedding) {
   LIGER_CHECK(TargetVocab, "predictName needs a target vocabulary");
-  beginRequest();
-  std::vector<const float *> StepMemory;
-  const float *Program = encodeInternal(Traces, StepMemory);
+  LigerEncodingOf<const float *> Enc = encodeRequest(Traces);
   if (Embedding)
-    Embedding->assign(Program, Program + Config.Hidden);
-  std::vector<int> Ids = decodeGreedy(Program, StepMemory);
+    Embedding->assign(Enc.ProgramEmbedding,
+                      Enc.ProgramEmbedding + Config.Hidden);
+  std::vector<int> Ids = decodeGreedy(Enc.ProgramEmbedding, Enc.StepMemory);
   return idsToSubtokens(Ids, *TargetVocab);
 }
 
 int LigerInference::predictClass(const MethodTraces &Traces) {
   LIGER_CHECK(hasClassifierHead(), "image has no classifier head");
-  beginRequest();
-  std::vector<const float *> StepMemory;
-  const float *Program = encodeInternal(Traces, StepMemory);
-  const float *Logits = linearApply(Head, Program);
+  const float *Logits =
+      linearApply(Head, encodeRequest(Traces).ProgramEmbedding);
   return static_cast<int>(inferops::argmaxRow(Head.Out, Logits));
 }

@@ -5,17 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The no-graph inference runtime: a mirror of the one-sample
-/// LigerEncoder::encode -> SeqDecoder::decodeGreedy walk that runs the
-/// shared forward kernels (nn/InferOps.h) directly against an immutable
+/// The no-graph inference runtime: the one-sample encoder walk
+/// (models/EncoderWalk.h) and a greedy decode over the shared forward
+/// kernels (nn/InferOps.h), run directly against an immutable
 /// WeightImage — no graph Nodes, no backward payloads kept alive, no
-/// arena of parent arrays. Temporaries come from a reusable per-engine
-/// ScratchArena that is reset at the top of every request.
+/// arena of parent arrays. The engine is the walk's scratch executor:
+/// vectors are floats in a reusable per-engine ScratchArena that is
+/// reset at the top of every request, and a cell step over lanes is one
+/// cellStep per lane.
 ///
-/// Because the ops are the literal functions the autodiff builders
-/// call, on the same inputs, the embeddings and predictions are
-/// bitwise-identical to the training-path forward
-/// (InferenceEquivalenceTest pins this across cells and ablations).
+/// Because the walk is the training walk and the ops are the literal
+/// functions the autodiff builders call, on the same inputs, the
+/// embeddings and predictions are bitwise-identical to the
+/// training-path forward (InferenceEquivalenceTest pins this across
+/// cells and ablations).
 ///
 /// Since parameters are frozen at serving time, the per-encode
 /// statement/state embedding caches of the training path become
@@ -24,14 +27,11 @@
 /// re-parsing) and states by the same token-signature key the training
 /// cache uses. Each slot also holds the fusion attention's key-side
 /// projection of its embedding, computed once when the slot is filled.
-///
-/// Within one request, a state-cache miss does not re-run f1 and f2
-/// from the initial state: two prefix tries over the scratch arena
-/// (keyed by parent node and input row: a token's embedding row for
-/// f1; an embedding row or f1 state for f2) memoize every cell step, so
-/// each distinct object-value and variable prefix runs exactly one
-/// step per request. A Stmt* memo in front of the statement cache
-/// skips re-serializing head trees (DESIGN.md §13.2).
+/// Within one request, state-cache misses walk the shared f1/f2 prefix
+/// tries over arena states, so each distinct object-value and variable
+/// prefix runs exactly one cell step per request; a Stmt* memo in front
+/// of the statement cache skips re-serializing head trees (DESIGN.md
+/// §13.2).
 ///
 /// An engine is single-threaded; serving spawns one per worker. It
 /// borrows the WeightImage and vocabularies, which must outlive it.
@@ -136,20 +136,8 @@ private:
     const float *C = nullptr;
   };
 
-  /// Per-request memo of one recurrent cell: node 0 is the initial
-  /// state and the child of node P along input row X holds
-  /// cellStep(X, state(P)). Rows are embedding-table rows or arena
-  /// states of this request, so equal pointers mean equal inputs.
-  struct PrefixTrie {
-    using Edge = std::pair<uint32_t, const float *>; ///< (parent, row)
-    struct EdgeHash {
-      size_t operator()(const Edge &E) const {
-        return std::hash<const float *>()(E.second) * 31 + E.first;
-      }
-    };
-    std::vector<St> Nodes;
-    std::unordered_map<Edge, uint32_t, EdgeHash> Children;
-  };
+  /// The encoder walk's scratch executor (defined in Inference.cpp).
+  struct ScratchExec;
 
   void bind(const WeightImage &Image);
   LinearRef bindLinear(const WeightImage &Image, const std::string &Name,
@@ -159,35 +147,28 @@ private:
   AttnRef bindAttn(const WeightImage &Image, const std::string &Name,
                    size_t QueryDim, size_t KeyDim, size_t Hidden) const;
 
-  const float *tokenEmbed(const std::string &Token) const;
+  const float *tokenEmbed(int Id) const;
   const float *linearApply(const LinearRef &L, const float *X);
   St cellInitial(const CellRef &Cell);
   St cellStep(const CellRef &Cell, const float *X, const St &Prev);
+  /// The context of \p Query over \p Keys; \p Weights, when non-null,
+  /// receives the arena-owned softmax weights.
   const float *attnContext(const AttnRef &Attn,
                            const std::vector<const float *> &Keys,
-                           const float *KeyProj, const float *Query);
+                           const float *KeyProj, const float *Query,
+                           const float **Weights = nullptr);
   const float *attnKeyProj(const AttnRef &Attn,
                            const std::vector<const float *> &Keys);
 
-  /// Resets the arena and every per-request memo.
-  void beginRequest();
-  /// The child of \p Parent along the input row \p X, stepping \p Cell
-  /// only when the trie does not hold it yet.
-  uint32_t trieStep(PrefixTrie &Trie, const CellRef &Cell, uint32_t Parent,
-                    const float *X);
   /// Fills a persistent cache slot: the embedding \p H, then (under
   /// fusion attention) its A1 key-side projection.
   const float *fillSlot(std::vector<float> &Slot, const float *H);
 
   St treeNode(const AstTree &Tree);
+  /// The statement-cache slot of \p S's head tree.
   const float *embedStatement(const Stmt *S);
-  const float *embedState(const ProgramState &State);
-  const float *fuseStep(const BlendedTrace &Path, size_t J,
-                        size_t NumConcrete, const float *PrevH);
-  const float *encodePath(const BlendedTrace &Path, const PathExtent &Extent,
-                          std::vector<const float *> &StepMemory);
-  const float *encodeInternal(const MethodTraces &Traces,
-                              std::vector<const float *> &StepMemory);
+  /// Resets the arena and encodes \p Traces through the encoder walk.
+  LigerEncodingOf<const float *> encodeRequest(const MethodTraces &Traces);
   std::vector<int> decodeGreedy(const float *ProgramEmbedding,
                                 const std::vector<const float *> &Memory);
 
@@ -220,9 +201,6 @@ private:
   // valid for the engine's lifetime.
   std::unordered_map<std::string, std::vector<float>> StmtCache;
   std::unordered_map<std::string, std::vector<float>> StateCache;
-  // Per-request memos, reset by beginRequest().
-  PrefixTrie F1Trie, F2Trie;
-  std::unordered_map<const Stmt *, const float *> StmtMemo; ///< -> slot.
 };
 
 } // namespace liger

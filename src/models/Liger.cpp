@@ -7,9 +7,10 @@
 #include "models/Liger.h"
 
 #include "lang/AstTree.h"
-#include "models/StateTrie.h"
+#include "models/EncoderWalk.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 using namespace liger;
 
@@ -58,66 +59,78 @@ LigerEncoder::LigerEncoder(ParamStore &Store, const Vocabulary &JointVocab,
               "at least one feature dimension must be enabled");
 }
 
-Var LigerEncoder::lookupToken(int Id, EncodeContext &Ctx) const {
-  Var &E = Ctx.TokenCache[Id];
-  if (!E)
-    E = Embed.lookup(Id);
-  return E;
-}
+/// The graph executor: vectors are autodiff nodes, a cell step over
+/// lanes is one RecurrentCell::stepBatch. Statement and token caches
+/// never cross samples. State embeddings DO share one batch-scoped cache
+/// (and the walk one pair of prefix tries): the kind-tagged state key is
+/// injective and f1/f2 are deterministic functions of their input
+/// sequences and the parameters, so a state or prefix revisited by
+/// another sample reuses a node with bitwise-identical value, and
+/// per-sample loss values are unchanged. Gradient flow through a shared
+/// node merges where per-sample caches would duplicate it, which only
+/// gradient accumulation order can observe.
+struct LigerEncoder::GraphExec {
+  using Vec = Var;
+  using State = RecState;
 
-Var LigerEncoder::embedStatement(const Stmt *S, EncodeContext &Ctx) const {
-  auto It = Ctx.StmtCache.find(S);
-  if (It != Ctx.StmtCache.end())
-    return It->second;
-  AstTree Tree = buildStmtHeadTree(S);
-  Var H = StmtTree.embed(Tree, [&](const std::string &Label) {
-    return lookupToken(Vocab.lookup(Label), Ctx);
-  });
-  Ctx.StmtCache.emplace(S, H);
-  return H;
-}
+  const LigerEncoder &E;
+  FusionStats *Stats;
+  const RecurrentCell &F1 = E.F1, &F2 = E.F2, &F3 = E.F3;
+  std::vector<std::unordered_map<const Stmt *, Var>> StmtCaches;
+  std::vector<std::unordered_map<int, Var>> TokenCaches;
+  std::unordered_map<std::string, Var> States;
 
-Var LigerEncoder::fuseStep(const BlendedTrace &Path, size_t J,
-                           const std::vector<Var> &StateComps, Var PrevH,
-                           EncodeContext &Ctx) const {
-  // Collect the feature vectors of this ordered pair; the statement
-  // vector (when enabled) is component 0.
-  std::vector<Var> Components;
-  if (Config.UseStaticFeature)
-    Components.push_back(
-        embedStatement(Path.Symbolic.Steps[J].Statement, Ctx));
-  Components.insert(Components.end(), StateComps.begin(), StateComps.end());
-  if (Components.empty())
-    return nullptr; // dynamic-only config with a state-less step
+  GraphExec(const LigerEncoder &E, size_t B, FusionStats *Stats)
+      : E(E), Stats(Stats), StmtCaches(B), TokenCaches(B) {}
 
-  bool UniformFirstStep = J == 0; // paper: even weights at step one
-  if (Components.size() == 1) {
-    if (Ctx.Stats && Config.UseStaticFeature) {
-      Ctx.Stats->StaticWeightSum += 1.0;
-      ++Ctx.Stats->FusionSteps;
+  Var token(uint32_t Sample, int Id) {
+    Var &T = TokenCaches[Sample][Id];
+    if (!T)
+      T = E.Embed.lookup(Id);
+    return T;
+  }
+  Var statement(uint32_t Sample, const Stmt *S) {
+    Var &H = StmtCaches[Sample][S];
+    if (!H)
+      H = E.StmtTree.embed(buildStmtHeadTree(S), [&](const std::string &L) {
+        return token(Sample, E.Vocab.lookup(L));
+      });
+    return H;
+  }
+  Var findState(const std::string &Key) const {
+    auto It = States.find(Key);
+    return It == States.end() ? nullptr : It->second;
+  }
+  Var storeState(std::string Key, Var H) {
+    States.emplace(std::move(Key), H);
+    return H;
+  }
+  Var zeros() const { return constant(Tensor::zeros(E.Config.Hidden)); }
+  static Var meanPool(const std::vector<Var> &Items) {
+    return liger::meanPool(Items);
+  }
+  static Var maxPool(const std::vector<Var> &Items) {
+    return liger::maxPool(Items);
+  }
+  std::pair<Var, double> attend(const std::vector<Var> &Components,
+                                const Var &Query) const {
+    // Components change every step, so their key-side projections are
+    // prepared fresh: one key-projection node, one attention node.
+    AttentionScorer::Result R = E.A1.contextOf(Query, E.A1.prepare(Components));
+    return {R.Context, static_cast<double>(R.Weights[0])};
+  }
+  void countState(bool) {}
+  void countFusion(double StaticWeight) {
+    if (Stats) {
+      Stats->StaticWeightSum += StaticWeight;
+      ++Stats->FusionSteps;
     }
-    return Components[0];
   }
-  if (!Config.UseFusionAttention || UniformFirstStep) {
-    Var Fused = meanPool(Components);
-    if (Ctx.Stats && Config.UseStaticFeature) {
-      Ctx.Stats->StaticWeightSum +=
-          1.0 / static_cast<double>(Components.size());
-      ++Ctx.Stats->FusionSteps;
-    }
-    return Fused;
+  void countCellSteps(size_t N) {
+    if (Stats)
+      Stats->StateCellSteps += N;
   }
-  // Components change every step, so the key-side projections are
-  // prepared fresh here; the win is the fused two-node step (key
-  // projection + attention op) replacing the per-pair score chain.
-  AttentionScorer::Memory Mem = A1.prepare(Components);
-  AttentionScorer::Result Fusion = A1.contextOf(PrevH, Mem);
-  if (Ctx.Stats && Config.UseStaticFeature) {
-    Ctx.Stats->StaticWeightSum += static_cast<double>(Fusion.Weights[0]);
-    ++Ctx.Stats->FusionSteps;
-  }
-  return Fusion.Context;
-}
+};
 
 LigerEncoding LigerEncoder::encode(const MethodTraces &Traces,
                                    FusionStats *Stats) const {
@@ -127,154 +140,8 @@ LigerEncoding LigerEncoder::encode(const MethodTraces &Traces,
 std::vector<LigerEncoding>
 LigerEncoder::encodeBatch(const std::vector<const MethodTraces *> &Batch,
                           FusionStats *Stats) const {
-  size_t B = Batch.size();
-  // Statement and token caches never cross samples. State embeddings
-  // DO share one batch-scoped memo (cache and prefix tries): the
-  // kind-tagged state key is injective and f1/f2 are deterministic
-  // functions of their input sequences and the parameters, so a state
-  // or prefix revisited by another sample reuses a node with
-  // bitwise-identical value — per-sample loss values are unchanged.
-  // Gradient flow through a shared node merges where per-sample memos
-  // would duplicate it, which only gradient accumulation order can
-  // observe.
-  StateMemo BatchStates;
-  std::vector<EncodeContext> Ctxs(B);
-  for (EncodeContext &Ctx : Ctxs)
-    Ctx.Stats = Stats;
-  auto Token = [&](uint32_t Sample, int Id) {
-    return lookupToken(Id, Ctxs[Sample]);
-  };
-
-  // One lane per encoded blended trace, in sample-major order.
-  struct Lane {
-    size_t Sample;
-    const BlendedTrace *Path;
-    PathExtent Extent;
-    RecState Trace;
-    Var PrevH;
-    std::vector<Var> Memory;
-  };
-  std::vector<Lane> Lanes;
-  size_t MaxSteps = 0;
-  for (size_t S = 0; S < B; ++S) {
-    for (const BlendedTrace &Path : Batch[S]->Paths) {
-      std::optional<PathExtent> Extent = pathExtent(Config, Path);
-      if (!Extent)
-        continue;
-      Lane L;
-      L.Sample = S;
-      L.Path = &Path;
-      L.Extent = *Extent;
-      L.Trace = F3.initial();
-      L.PrevH = L.Trace.H;
-      MaxSteps = std::max(MaxSteps, L.Extent.Steps);
-      Lanes.push_back(std::move(L));
-    }
-  }
-
-  // Timestep-major lockstep: each round fuses every live lane's step-J
-  // components per lane, then advances all lanes with a fused input
-  // through one batched F3 step.
-  struct PendingSlot {
-    size_t LaneIdx;
-    size_t CompIdx;
-  };
-  std::vector<std::vector<Var>> LaneStates(Lanes.size());
-  std::vector<StateRequest> Requests;
-  std::vector<PendingSlot> Pending; ///< Pending[K] awaits Requests[K].
-  std::vector<size_t> Active;
-  std::vector<Var> Ins;
-  std::vector<RecState> PrevStates;
-  for (size_t J = 0; J < MaxSteps; ++J) {
-    // Resolve the round's state components up front: cached states
-    // fill their lane slots directly, the rest are embedded through one
-    // depth-by-depth walk of the batch's f1/f2 tries (a state requested
-    // twice walks shared edges, so it costs no extra step), then
-    // patched into the slots they came from.
-    for (std::vector<Var> &Slots : LaneStates)
-      Slots.clear();
-    Requests.clear();
-    Pending.clear();
-    for (size_t Li = 0; Li < Lanes.size(); ++Li) {
-      Lane &L = Lanes[Li];
-      if (J >= L.Extent.Steps)
-        continue;
-      for (size_t T = 0; T < L.Extent.NumConcrete; ++T) {
-        const ProgramState *State = fusedState(*L.Path, T, J);
-        if (!State)
-          continue;
-        StateRequest Rq;
-        Rq.Owner = static_cast<uint32_t>(L.Sample);
-        Rq.State = State;
-        Rq.Key = stateKey(Config.MaxFlattenedValues, *State, Rq.ValueTokens);
-        auto It = BatchStates.Cache.find(Rq.Key);
-        if (It != BatchStates.Cache.end()) {
-          LaneStates[Li].push_back(It->second);
-          continue;
-        }
-        LaneStates[Li].push_back(nullptr);
-        Pending.push_back({Li, LaneStates[Li].size() - 1});
-        Requests.push_back(std::move(Rq));
-      }
-    }
-    if (!Requests.empty()) {
-      std::vector<Var> Embedded = embedStates(
-          F1, F2, Vocab, /*VarTags=*/{}, Requests, BatchStates, Token,
-          [](uint32_t, uint32_t, const Var &Value) { return Value; });
-      for (size_t K = 0; K < Pending.size(); ++K)
-        LaneStates[Pending[K].LaneIdx][Pending[K].CompIdx] = Embedded[K];
-    }
-
-    Active.clear();
-    Ins.clear();
-    PrevStates.clear();
-    for (size_t Li = 0; Li < Lanes.size(); ++Li) {
-      Lane &L = Lanes[Li];
-      if (J >= L.Extent.Steps)
-        continue;
-      Var Fused =
-          fuseStep(*L.Path, J, LaneStates[Li], L.PrevH, Ctxs[L.Sample]);
-      if (!Fused)
-        continue;
-      Active.push_back(Li);
-      Ins.push_back(Fused);
-      PrevStates.push_back(L.Trace);
-    }
-    if (Active.empty())
-      continue;
-    std::vector<RecState> Next = F3.stepBatch(Ins, PrevStates);
-    for (size_t K = 0; K < Active.size(); ++K) {
-      Lane &L = Lanes[Active[K]];
-      L.Trace = Next[K];
-      L.PrevH = Next[K].H;
-      L.Memory.push_back(Next[K].H);
-    }
-  }
-
-  if (Stats)
-    Stats->StateCellSteps += BatchStates.cellSteps();
-
-  // Per-sample assembly in path-major order.
-  std::vector<LigerEncoding> Out(B);
-  std::vector<std::vector<Var>> PathEmbeds(B);
-  for (Lane &L : Lanes) {
-    PathEmbeds[L.Sample].push_back(L.Trace.H);
-    Out[L.Sample].StepMemory.insert(Out[L.Sample].StepMemory.end(),
-                                    L.Memory.begin(), L.Memory.end());
-  }
-  for (size_t S = 0; S < B; ++S) {
-    if (PathEmbeds[S].empty()) {
-      Out[S].ProgramEmbedding = constant(Tensor::zeros(Config.Hidden));
-      Out[S].StepMemory.assign(1, Out[S].ProgramEmbedding);
-      continue;
-    }
-    Out[S].ProgramEmbedding = Config.MeanPoolPrograms
-                                  ? meanPool(PathEmbeds[S])
-                                  : maxPool(PathEmbeds[S]);
-    if (Out[S].StepMemory.empty())
-      Out[S].StepMemory.push_back(Out[S].ProgramEmbedding);
-  }
-  return Out;
+  GraphExec X(*this, Batch.size(), Stats);
+  return encoderWalk(Config, Vocab, X, Batch);
 }
 
 //===----------------------------------------------------------------------===//

@@ -39,7 +39,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace liger {
@@ -60,11 +59,10 @@ struct LigerConfig {
   size_t MaxDecodeLen = 8;
 };
 
-/// What the encoder reads of a method's traces. Both encoder walks —
-/// the autodiff LigerEncoder and the forward-only LigerInference — read
-/// traces only through the two functions below and stateKey
-/// (models/StateTrie.h), so they agree on which paths, steps and states
-/// feed an encoding.
+/// What the encoder reads of a method's traces. The one encoder walk
+/// (models/EncoderWalk.h), which the autodiff LigerEncoder and the
+/// forward-only LigerInference both run, reads traces only through the
+/// two functions below and stateKey (models/StateTrie.h).
 
 /// The part of one blended trace the encoder reads: its first Steps
 /// steps, each fusing the states of its first NumConcrete concrete
@@ -99,13 +97,15 @@ struct FusionStats {
   }
 };
 
-/// Output of the LIGER encoder.
-struct LigerEncoding {
-  Var ProgramEmbedding;
+/// Output of the LIGER encoder, over graph nodes (Var) in training and
+/// arena floats in serving.
+template <class Vec> struct LigerEncodingOf {
+  Vec ProgramEmbedding{};
   /// Flattened step embeddings H^e_{i_j} of all blended traces (the
   /// decoder's attention memory).
-  std::vector<Var> StepMemory;
+  std::vector<Vec> StepMemory;
 };
+using LigerEncoding = LigerEncodingOf<Var>;
 
 /// The encoder (layers 1–4).
 class LigerEncoder {
@@ -119,14 +119,13 @@ public:
   LigerEncoding encode(const MethodTraces &Traces,
                        FusionStats *Stats = nullptr) const;
 
-  /// Encodes a mini-batch of methods, every blended trace of every
-  /// sample one lane advanced in lockstep (§5, Fig. 5): at each step
-  /// index the per-lane component fusions run (each path attends over
-  /// its own components), then all live lanes advance through one
-  /// batched F3 step (RecurrentCell::stepBatch); each sample's program
-  /// embedding pools its lanes' final states. Per-sample values do not
-  /// depend on the batch: they are bitwise the one-sample values, and
-  /// only node creation order — and so gradient accumulation order
+  /// Encodes a mini-batch of methods through the encoder walk
+  /// (models/EncoderWalk.h) over graph nodes: every blended trace of
+  /// every sample is one lane advanced in lockstep, each path attends
+  /// over its own components, and all live lanes advance through one
+  /// batched F3 step (RecurrentCell::stepBatch). Per-sample values do
+  /// not depend on the batch: they are bitwise the one-sample values,
+  /// and only node creation order — and so gradient accumulation order
   /// across lanes — follows the timestep-major schedule. State
   /// embeddings share one cache and one pair of prefix tries across the
   /// whole batch; \p Stats (optional) accumulates over every sample.
@@ -137,22 +136,8 @@ public:
   const LigerConfig &config() const { return Config; }
 
 private:
-  /// Per-sample forward caches: statement embeddings recur across loop
-  /// iterations, token embeddings (keyed by vocabulary id) everywhere.
-  struct EncodeContext {
-    std::unordered_map<const Stmt *, Var> StmtCache;
-    std::unordered_map<int, Var> TokenCache;
-    FusionStats *Stats = nullptr;
-  };
-
-  Var lookupToken(int Id, EncodeContext &Ctx) const;
-  Var embedStatement(const Stmt *S, EncodeContext &Ctx) const;
-  /// Fuses step \p J of one path: the statement and the step's state
-  /// embeddings \p StateComps through the fusion rule. Returns null when
-  /// the step has no components.
-  Var fuseStep(const BlendedTrace &Path, size_t J,
-               const std::vector<Var> &StateComps, Var PrevH,
-               EncodeContext &Ctx) const;
+  /// The graph executor of the encoder walk (defined in Liger.cpp).
+  struct GraphExec;
 
   LigerConfig Config;
   const Vocabulary &Vocab;

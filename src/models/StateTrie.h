@@ -5,12 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The program-state embedding both dynamic models share: f1 folds each
-/// object value's flattened tokens (Eq. 3), f2 folds a state's
-/// per-variable inputs into the state vector. Each encode owns one
-/// StateMemo: a cache of whole states keyed by stateKey, plus one
-/// prefix trie per cell, so every distinct object-value prefix and
-/// variable prefix of the encode is one graph step (DESIGN.md §14.2).
+/// The program-state embedding both dynamic models and the serving
+/// engine share: f1 folds each object value's flattened tokens (Eq. 3),
+/// f2 folds a state's per-variable inputs into the state vector. Each
+/// encode owns one StateMemo, one prefix trie per cell, so every
+/// distinct object-value prefix and variable prefix of the encode is
+/// one cell step (DESIGN.md §14.2); the caller keeps a cache of whole
+/// states keyed by stateKey in front of it. The walk is generic over
+/// the cell and state types, so the same code builds graph nodes in
+/// training and writes arena floats in serving.
 ///
 /// The models differ only in what an f2 input is. LIGER feeds the value
 /// embedding; DYPRO feeds the variable's name embedding concatenated
@@ -23,13 +26,13 @@
 #ifndef LIGER_MODELS_STATETRIE_H
 #define LIGER_MODELS_STATETRIE_H
 
-#include "nn/Module.h"
 #include "trace/Trace.h"
 #include "trace/Vocabulary.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -43,18 +46,19 @@ namespace liger {
 std::string stateKey(size_t MaxFlattenedValues, const ProgramState &State,
                      std::vector<std::vector<std::string>> &ValueTokens);
 
-/// Memo of one state cell (f1 or f2): node 0 is the cell's initial
-/// state, and the child of node P along input key K holds
+/// Memo of one state cell (f1 or f2) over a state type (a graph
+/// RecState, or the serving engine's arena state): node 0 is the cell's
+/// initial state, and the child of node P along input key K holds
 /// Cell.step(input(K), node P). Equal keys mean bitwise-equal inputs,
 /// so a shared node has exactly the value of every chain it stands for.
-struct PrefixTrie {
+template <class StateT> struct PrefixTrie {
   using Edge = std::pair<uint32_t, uint64_t>; ///< (parent, input key)
   struct EdgeHash {
     size_t operator()(const Edge &E) const {
       return std::hash<uint64_t>()(E.second) * 31 + E.first;
     }
   };
-  std::vector<RecState> Nodes;
+  std::vector<StateT> Nodes;
   std::unordered_map<Edge, uint32_t, EdgeHash> Children;
 };
 
@@ -69,19 +73,23 @@ struct TrieWalk {
 /// Advances every walk through \p Trie depth by depth. At each depth
 /// the edges the trie lacks (deduplicated across walks) run as one
 /// Cell.stepBatch over Resolve(Owner, Key) of the first walk to reach
-/// each; edges it holds cost no step. Returns each walk's final node.
-template <class ResolveFn>
-std::vector<uint32_t> walkTrie(const RecurrentCell &Cell, PrefixTrie &Trie,
+/// each; edges it holds cost no step. \p Cell is any cell with
+/// initial() and stepBatch(Inputs, Prev): a RecurrentCell builds graph
+/// nodes, the serving engine's cells write arena floats. Returns each
+/// walk's final node.
+template <class CellT, class StateT, class ResolveFn>
+std::vector<uint32_t> walkTrie(const CellT &Cell, PrefixTrie<StateT> &Trie,
                                const std::vector<TrieWalk> &Walks,
                                ResolveFn &&Resolve) {
+  using Input = std::decay_t<decltype(Resolve(uint32_t(), uint64_t()))>;
   if (Trie.Nodes.empty())
     Trie.Nodes.push_back(Cell.initial());
   size_t Depth = 0;
   for (const TrieWalk &W : Walks)
     Depth = std::max(Depth, W.Keys.size());
   std::vector<uint32_t> At(Walks.size(), 0);
-  std::vector<Var> Ins;
-  std::vector<RecState> Prev;
+  std::vector<Input> Ins;
+  std::vector<StateT> Prev;
   for (size_t D = 0; D < Depth; ++D) {
     // A new edge takes the next node index; a walk reaching an edge
     // another walk created this depth shares that pending node.
@@ -102,7 +110,7 @@ std::vector<uint32_t> walkTrie(const RecurrentCell &Cell, PrefixTrie &Trie,
     }
     if (Ins.empty())
       continue;
-    std::vector<RecState> Next = Cell.stepBatch(Ins, Prev);
+    std::vector<StateT> Next = Cell.stepBatch(Ins, Prev);
     Trie.Nodes.insert(Trie.Nodes.end(), Next.begin(), Next.end());
   }
   return At;
@@ -114,15 +122,14 @@ std::vector<uint32_t> walkTrie(const RecurrentCell &Cell, PrefixTrie &Trie,
 constexpr uint64_t ObjectInput = uint64_t(1) << 63;
 constexpr unsigned VarTagShift = 32;
 
-/// State embeddings of one encode: equal states (by stateKey) share one
-/// cache entry, and states that miss walk the f1/f2 prefix tries.
-struct StateMemo {
-  std::unordered_map<std::string, Var> Cache;
-  PrefixTrie F1Trie, F2Trie;
+/// The f1/f2 prefix tries of one encode: states that miss the caller's
+/// state cache walk them, so every distinct prefix is one cell step.
+template <class StateT> struct StateMemo {
+  PrefixTrie<StateT> F1Trie, F2Trie;
 
-  /// f1 + f2 graph steps taken: every trie node except the roots.
+  /// f1 + f2 cell steps taken: every trie node except the roots.
   size_t cellSteps() const {
-    auto Steps = [](const PrefixTrie &T) {
+    auto Steps = [](const PrefixTrie<StateT> &T) {
       return T.Nodes.empty() ? 0 : T.Nodes.size() - 1;
     };
     return Steps(F1Trie) + Steps(F2Trie);
@@ -143,15 +150,14 @@ struct StateRequest {
 /// walk per state whose key for variable I carries the tag
 /// VarTags[I] (0 past its end). Token(Owner, Id) resolves a token
 /// embedding; VarInput(Owner, Tag, Value) builds the f2 input of a
-/// variable with that tag and value embedding. Stores each result in
-/// the cache under its request's key and returns the embeddings in
-/// request order.
-template <class TokenFn, class VarInputFn>
-std::vector<Var>
-embedStates(const RecurrentCell &F1, const RecurrentCell &F2,
-            const Vocabulary &Vocab, const std::vector<uint32_t> &VarTags,
-            std::vector<StateRequest> &Requests, StateMemo &Memo,
-            TokenFn &&Token, VarInputFn &&VarInput) {
+/// variable with that tag and value embedding. Returns the embeddings
+/// in request order; caching them is the caller's.
+template <class CellT, class StateT, class TokenFn, class VarInputFn>
+auto embedStates(const CellT &F1, const CellT &F2, const Vocabulary &Vocab,
+                 const std::vector<uint32_t> &VarTags,
+                 const std::vector<StateRequest> &Requests,
+                 StateMemo<StateT> &Memo, TokenFn &&Token,
+                 VarInputFn &&VarInput) {
   auto IsObject = [](const Value &V) { return V.isArray() || V.isStruct(); };
   std::vector<TrieWalk> F1Walks;
   for (const StateRequest &Rq : Requests) {
@@ -191,20 +197,17 @@ embedStates(const RecurrentCell &F1, const RecurrentCell &F2,
   std::vector<uint32_t> F2Ends =
       walkTrie(F2, Memo.F2Trie, F2Walks, [&](uint32_t Owner, uint64_t Key) {
         auto Low = static_cast<uint32_t>(Key);
-        Var ValueIn = (Key & ObjectInput)
-                          ? Memo.F1Trie.Nodes[Low].H
-                          : Token(Owner, static_cast<int>(Low));
+        auto ValueIn = (Key & ObjectInput)
+                           ? Memo.F1Trie.Nodes[Low].H
+                           : Token(Owner, static_cast<int>(Low));
         auto Tag = static_cast<uint32_t>((Key & ~ObjectInput) >> VarTagShift);
         return VarInput(Owner, Tag, ValueIn);
       });
 
-  std::vector<Var> Out;
+  std::vector<decltype(StateT::H)> Out;
   Out.reserve(Requests.size());
-  for (size_t R = 0; R < Requests.size(); ++R) {
-    Var H = Memo.F2Trie.Nodes[F2Ends[R]].H;
-    Memo.Cache.insert_or_assign(std::move(Requests[R].Key), H);
-    Out.push_back(H);
-  }
+  for (uint32_t End : F2Ends)
+    Out.push_back(Memo.F2Trie.Nodes[End].H);
   return Out;
 }
 

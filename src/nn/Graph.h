@@ -272,21 +272,6 @@ AttnOut attentionOp(const Var &W1, const Var &W2, const Var &B2,
                     const Var &Query, const Var &KeyProj,
                     const std::vector<Var> &Keys);
 
-/// Multi-query fused attention: scores a block of Q queries against
-/// one shared prepared key projection in a single node, so beam
-/// hypotheses (and any same-memory query group) amortize the memory
-/// walk and the query-side projection becomes one [Q x Hidden] tiled
-/// matmul. The node's [Q x KeyDim] value holds every query's context;
-/// returned AttnOuts are per-query row views plus arena-owned weight
-/// peeks. The backward replays the single-query attentionOp backward
-/// per query in descending query order — bitwise-identical to Q
-/// attentionOp calls over the same memory.
-std::vector<AttnOut> attentionMultiQueryOp(const Var &W1, const Var &W2,
-                                           const Var &B2,
-                                           const std::vector<Var> &Queries,
-                                           const Var &KeyProj,
-                                           const std::vector<Var> &Keys);
-
 /// Multi-memory fused attention: scores B queries, each against its
 /// OWN prepared key projection, in a single node — the lockstep
 /// decoder's per-lane attention reads over distinct sample memories.

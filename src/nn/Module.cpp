@@ -354,22 +354,6 @@ AttentionScorer::contextOf(const Var &Query, const Memory &Mem) const {
   return {Fused.Context, Fused.Weights};
 }
 
-std::vector<AttentionScorer::Result>
-AttentionScorer::contextOfMulti(const std::vector<Var> &Queries,
-                                const Memory &Mem) const {
-  LIGER_CHECK(!Queries.empty(), "contextOfMulti needs queries");
-  if (Queries.size() == 1)
-    return {contextOf(Queries[0], Mem)};
-  std::vector<AttnOut> Fused =
-      attentionMultiQueryOp(W1, W2, B2, Queries, Mem.KeyProj, Mem.Keys);
-  std::vector<Result> Out(Queries.size());
-  for (size_t I = 0; I < Queries.size(); ++I) {
-    Out[I].Context = Fused[I].Context;
-    Out[I].Weights = Fused[I].Weights;
-  }
-  return Out;
-}
-
 std::vector<AttentionScorer::Result> AttentionScorer::contextOfMultiMemory(
     const std::vector<Var> &Queries,
     const std::vector<const Memory *> &Mems) const {

@@ -256,14 +256,6 @@ public:
   /// all scores, then the weighted key sum — one fused graph node.
   Result contextOf(const Var &Query, const Memory &Mem) const;
 
-  /// Attended contexts for a block of queries over one shared prepared
-  /// memory: a single multi-query node amortizes the key-memory walk
-  /// (decoder hypothesis sets, same-timestep batched decodes). A single
-  /// query takes contextOf(); either way results are bitwise-identical
-  /// to per-query contextOf() calls in order.
-  std::vector<Result> contextOfMulti(const std::vector<Var> &Queries,
-                                     const Memory &Mem) const;
-
   /// Attended contexts for a block of queries, each over its OWN
   /// prepared memory — the lockstep decoder's per-lane attention reads
   /// over distinct sample memories. One multi-memory node batches the

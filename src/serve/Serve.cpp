@@ -26,36 +26,6 @@ double millisSince(Clock::time_point Start) {
       .count();
 }
 
-/// Mirror of the corpus "too small" filter (dataset/Corpus.cpp): the
-/// service rejects exactly what corpus generation would have dropped,
-/// so served methods look like training-distribution methods.
-size_t countStatements(const Stmt *S) {
-  if (!S)
-    return 0;
-  switch (S->kind()) {
-  case StmtKind::Block: {
-    size_t Total = 0;
-    for (const Stmt *Child : cast<BlockStmt>(S)->body())
-      Total += countStatements(Child);
-    return Total;
-  }
-  case StmtKind::If: {
-    const auto *If = cast<IfStmt>(S);
-    return 1 + countStatements(If->thenStmt()) +
-           countStatements(If->elseStmt());
-  }
-  case StmtKind::While:
-    return 1 + countStatements(cast<WhileStmt>(S)->body());
-  case StmtKind::For: {
-    const auto *For = cast<ForStmt>(S);
-    return 1 + countStatements(For->init()) + countStatements(For->step()) +
-           countStatements(For->body());
-  }
-  default:
-    return 1;
-  }
-}
-
 } // namespace
 
 uint64_t liger::serveTraceSeed(const ServeRequest &Request, uint64_t Seed) {
@@ -66,16 +36,8 @@ uint64_t liger::serveTraceSeed(const ServeRequest &Request, uint64_t Seed) {
   return H.digest();
 }
 
-// Mirror of the (file-local) ligerConfig in eval/Experiments.cpp at
-// the full-model ablation: serving must bind exactly the tensors the
-// training run created, so the two must stay in lockstep.
 LigerConfig liger::serveLigerConfig(const ExperimentScale &Scale) {
-  LigerConfig Config;
-  Config.EmbedDim = Scale.EmbedDim;
-  Config.Hidden = Scale.Hidden;
-  Config.AttnHidden = Scale.Hidden;
-  Config.MaxConcretePerPath = Scale.ExecutionsPerPath;
-  return Config;
+  return ligerConfig(Scale, LigerAblation{});
 }
 
 const char *liger::serveStatusName(ServeStatus Status) {
@@ -232,9 +194,10 @@ ServeResponse ServeEngine::handleOn(const ServeRequest &Request,
     return finish(ServeStatus::NoSuchMethod,
                   "no function '" + Request.MethodName + "' in source");
 
-  if (countStatements(Fn->Body) < 3)
+  if (traceStatementCount(Fn->Body) < MinTraceStatements)
     return finish(ServeStatus::TooSmall,
-                  "method under the 3-statement corpus threshold");
+                  "method under the " + std::to_string(MinTraceStatements) +
+                      "-statement corpus threshold");
   if (pastDeadline())
     return deadline("parse");
 

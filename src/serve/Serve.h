@@ -56,10 +56,10 @@ enum class ServeStatus {
 
 const char *serveStatusName(ServeStatus Status);
 
-/// The model configuration serving derives from a scale — the
-/// full-model ablation of eval's ligerConfig(). Exposed so benches and
-/// tests construct autodiff models that bind the same tensors the
-/// serving engine binds.
+/// The model configuration serving derives from a scale:
+/// ligerConfig(Scale, LigerAblation{}), the full model. Benches and
+/// tests construct autodiff models through it that bind the same
+/// tensors the serving engine binds.
 LigerConfig serveLigerConfig(const ExperimentScale &Scale);
 
 struct ServeRequest {

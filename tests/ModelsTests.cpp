@@ -557,7 +557,7 @@ TEST(CheckpointTest, AllFourModelStoresRoundTrip) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batched decoder: lossBatch and beam search
+// Batched decoder: lossBatch
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -730,27 +730,6 @@ TEST(BatchedLossEquivalenceTest, LigerLossBatchMatchesLoss) {
   for (size_t S = 0; S < Samples.size(); ++S)
     EXPECT_EQ(Batched[S]->Value[0], Net.loss(Samples[S])->Value[0])
         << "sample " << S;
-}
-
-TEST(BatchedLossEquivalenceTest, DecodeBeamWidth1MatchesGreedy) {
-  DecoderFixture F;
-  for (size_t S = 0; S < 3; ++S) {
-    std::vector<int> Greedy = F.Dec.decodeGreedy(F.Embeds[S], F.Memories[S], 6);
-    std::vector<int> Beam = F.Dec.decodeBeam(F.Embeds[S], F.Memories[S], 6, 1);
-    EXPECT_EQ(Beam, Greedy) << "sample " << S;
-  }
-}
-
-TEST(BatchedLossEquivalenceTest, DecodeBeamWiderEmitsValidIds) {
-  DecoderFixture F;
-  for (size_t Width : {2u, 4u}) {
-    std::vector<int> Ids = F.Dec.decodeBeam(F.Embeds[0], F.Memories[0], 6, Width);
-    EXPECT_LE(Ids.size(), 6u);
-    for (int Id : Ids) {
-      EXPECT_GE(Id, 4);    // no Pad/Sos/Eos/Unk in the output
-      EXPECT_LT(Id, 9);
-    }
-  }
 }
 
 //===----------------------------------------------------------------------===//

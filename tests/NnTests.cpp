@@ -1492,62 +1492,12 @@ StepResult runBatchedCellTrainingStep(CellKind Kind, size_t B,
   return Result;
 }
 
-/// One training step scoring Q recurrent queries against one shared
-/// prepared memory through contextOfMulti when \p Batched, else
-/// through a per-query contextOf loop.
-AttnStepResult runMultiQueryStep(size_t Q, bool Batched) {
-  ParamStore Store;
-  Rng R(73);
-  const size_t QDim = 6, KeyDim = 5, AttnHidden = 7;
-  AttentionScorer Attn(Store, "attn", QDim, KeyDim, AttnHidden, R);
-  std::vector<Var> Queries;
-  for (size_t I = 0; I < Q; ++I)
-    Queries.push_back(
-        Store.addParam("q" + std::to_string(I), Tensor::uniform(QDim, 0.9f, R)));
-  std::vector<Var> Memory;
-  for (int I = 0; I < 4; ++I)
-    Memory.push_back(
-        Store.addParam("m" + std::to_string(I), Tensor::uniform(KeyDim, 0.9f, R)));
-  Adam Opt(Store);
-
-  AttentionScorer::Memory Mem = Attn.prepare(Memory);
-  std::vector<AttentionScorer::Result> Out;
-  if (Batched)
-    Out = Attn.contextOfMulti(Queries, Mem);
-  else
-    for (const Var &Query : Queries)
-      Out.push_back(Attn.contextOf(Query, Mem));
-  AttnStepResult Result;
-  std::vector<Var> Norms;
-  for (const AttentionScorer::Result &Ctx : Out) {
-    Result.StepWeights.emplace_back(Ctx.Weights, Ctx.Weights + Memory.size());
-    Norms.push_back(dot(Ctx.Context, Ctx.Context));
-  }
-  Var Loss = meanLoss(Norms);
-  backward(Loss);
-
-  Result.Loss = Loss->Value[0];
-  Result.Grads = dumpGrads(Store);
-  Opt.step();
-  Result.ParamsAfter = dumpParams(Store);
-  return Result;
-}
-
 void expectCellStepBitwise(CellKind Kind, size_t B) {
   StepResult Batched = runBatchedCellTrainingStep(Kind, B, true);
   StepResult Ref = runBatchedCellTrainingStep(Kind, B, false);
   EXPECT_EQ(Batched.Loss, Ref.Loss) << "B=" << B;
   EXPECT_EQ(Batched.Grads, Ref.Grads) << "B=" << B;
   EXPECT_EQ(Batched.ParamsAfter, Ref.ParamsAfter) << "B=" << B;
-}
-
-void expectMultiQueryBitwise(size_t Q) {
-  AttnStepResult Batched = runMultiQueryStep(Q, true);
-  AttnStepResult Ref = runMultiQueryStep(Q, false);
-  EXPECT_EQ(Batched.Loss, Ref.Loss) << "Q=" << Q;
-  EXPECT_EQ(Batched.StepWeights, Ref.StepWeights) << "Q=" << Q;
-  EXPECT_EQ(Batched.Grads, Ref.Grads) << "Q=" << Q;
-  EXPECT_EQ(Batched.ParamsAfter, Ref.ParamsAfter) << "Q=" << Q;
 }
 
 /// One training step of B lanes through the projection + softmax-CE
@@ -1727,13 +1677,6 @@ TEST(BatchedKernelEquivalenceTest, LstmStepIsBitwiseAtB8) {
   expectCellStepBitwise(CellKind::Lstm, 8);
 }
 
-TEST(BatchedKernelEquivalenceTest, MultiQueryAttentionIsBitwiseAtQ1) {
-  expectMultiQueryBitwise(1);
-}
-TEST(BatchedKernelEquivalenceTest, MultiQueryAttentionIsBitwiseAtQ4) {
-  expectMultiQueryBitwise(4);
-}
-
 TEST(BatchedKernelEquivalenceTest, LossHeadIsBitwiseAtB1) {
   expectLossHeadBitwise(1);
 }
@@ -1807,34 +1750,6 @@ TEST(GradCheckTest, LstmCellBatchOpPacked) {
     std::vector<Var> Norms;
     for (const CellOut &S : S2)
       Norms.push_back(add(dot(S.H, S.H), dot(S.C, S.C)));
-    return sumV(stackScalars(Norms));
-  });
-  EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "
-                         << Result.WorstParam;
-}
-
-TEST(GradCheckTest, AttentionMultiQueryOpPacked) {
-  ParamStore Store;
-  Rng R(83);
-  const size_t QDim = 5, KeyDim = 4, H = 6, Q = 2, T = 3;
-  Var W1 = Store.addParam("W1", Tensor::xavier(H, KeyDim + QDim, R));
-  Var B1 = Store.addParam("b1", Tensor::uniform(H, 0.2f, R));
-  Var W2 = Store.addParam("W2", Tensor::xavier(1, H, R));
-  Var B2 = Store.addParam("b2", Tensor::uniform(1, 0.2f, R));
-  std::vector<Var> Queries, Keys;
-  for (size_t I = 0; I < Q; ++I)
-    Queries.push_back(Store.addParam("q" + std::to_string(I),
-                                     Tensor::uniform(QDim, 0.9f, R)));
-  for (size_t I = 0; I < T; ++I)
-    Keys.push_back(Store.addParam("k" + std::to_string(I),
-                                  Tensor::uniform(KeyDim, 0.9f, R)));
-  GradCheckResult Result = checkGradients(Store, [&] {
-    Var KP = attentionKeyProj(W1, B1, Keys);
-    std::vector<AttnOut> Out =
-        attentionMultiQueryOp(W1, W2, B2, Queries, KP, Keys);
-    std::vector<Var> Norms;
-    for (const AttnOut &A : Out)
-      Norms.push_back(dot(A.Context, A.Context));
     return sumV(stackScalars(Norms));
   });
   EXPECT_TRUE(Result.Ok) << Result.MaxRelError << " at "

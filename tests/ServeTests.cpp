@@ -384,6 +384,62 @@ TEST(InferenceEquivalenceTest, EmptyFlatteningBitwise) {
   }
 }
 
+TEST(InferenceEquivalenceTest, StateSharedAcrossPathsCountsOnce) {
+  // Two paths over (xs, i, s), three steps each. The engine walks the
+  // paths timestep-major, so it meets each shared state in a different
+  // order than a path-by-path walk would, and must still count one miss
+  // per distinct state:
+  //  - same round: step 1 of both paths is state([2], 1, 1);
+  //  - across rounds: path Q's step 0 is path P's step 2, so Q's round-0
+  //    request misses and P's round-2 request hits.
+  // Four distinct states, two hits. Each state is a one-token array and
+  // two new scalars: 4 f1 steps, 4 x 3 f2 steps.
+  SharedPrefixTrace F;
+  ASSERT_NO_FATAL_FAILURE(F.build());
+  const std::vector<const Stmt *> &Body =
+      cast<BlockStmt>(F.Sample.Traces.Fn->Body)->body();
+  MethodTraces Traces;
+  Traces.Fn = F.Sample.Traces.Fn;
+  Traces.VarNames = {"xs", "i", "s"};
+  auto PathOf = [&](std::vector<ProgramState> States) {
+    BlendedTrace Path;
+    for (const Stmt *S : Body)
+      Path.Symbolic.Steps.push_back({S, StepKind::Plain});
+    StateTrace T;
+    T.States = std::move(States);
+    Path.Concrete = {T};
+    return Path;
+  };
+  Traces.Paths = {PathOf({state(intArray({1}), 0, 0),
+                          state(intArray({2}), 1, 1),
+                          state(intArray({3}), 2, 2)}),
+                  PathOf({state(intArray({3}), 2, 2),
+                          state(intArray({2}), 1, 1),
+                          state(intArray({4}), 0, 0)})};
+
+  for (CellKind Cell : {CellKind::Gru, CellKind::Lstm, CellKind::Rnn}) {
+    LigerConfig Config = tinyConfig(Cell);
+    LigerNamePredictor Net(F.Task.Joint, F.Task.Target, Config, F.Scale.Seed);
+    WeightImage Image = WeightImage::fromStore(Net.params());
+    LigerInference Inference(Image, F.Task.Joint, &F.Task.Target, Config);
+
+    GraphArena Arena;
+    GraphArena::Scope Scope(Arena);
+    FusionStats Stats;
+    LigerEncoding Enc = Net.encoder().encode(Traces, &Stats);
+    const float *Embedding = Inference.encode(Traces);
+    ASSERT_EQ(std::memcmp(Embedding, Enc.ProgramEmbedding->Value.data(),
+                          Config.Hidden * sizeof(float)),
+              0);
+
+    const LigerInference::CacheStats &C = Inference.cacheStats();
+    EXPECT_EQ(C.StateMisses, 4u);
+    EXPECT_EQ(C.StateHits, 2u);
+    EXPECT_EQ(C.StateCellSteps, 4u + 12u);
+    EXPECT_EQ(Stats.StateCellSteps, 4u + 12u);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // WeightImageTest
 //===----------------------------------------------------------------------===//
