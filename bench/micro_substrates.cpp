@@ -202,6 +202,49 @@ void BM_KernelAxpy(benchmark::State &State) {
 }
 BENCHMARK(BM_KernelAxpy)->Arg(256)->Arg(1024);
 
+// The backward's weight-gradient kernel at the paper's width: B lanes'
+// rank-1 terms into one [100 x 100] gradient, lanes descending (Arg(1)
+// is rank1Acc's one-lane case). The register tile loads and stores each
+// gradient element once per call, not once per lane.
+void BM_Rank1AccBatchDesc(benchmark::State &State) {
+  size_t B = static_cast<size_t>(State.range(0));
+  size_t H = 100;
+  Rng R(1);
+  Tensor PG = Tensor::uniform(B * H, 1.0f, R);
+  std::vector<Tensor> Xs;
+  std::vector<const float *> XP;
+  for (size_t Bi = 0; Bi < B; ++Bi)
+    Xs.push_back(Tensor::uniform(H, 1.0f, R));
+  for (const Tensor &X : Xs)
+    XP.push_back(X.data());
+  Tensor MG = Tensor::zeros(H, H);
+  for (auto _ : State) {
+    kernels::rank1AccBatchDesc(B, H, H, PG.data(), H, XP.data(), MG.data());
+    benchmark::DoNotOptimize(MG.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() * B * H * H);
+}
+BENCHMARK(BM_Rank1AccBatchDesc)->Arg(1)->Arg(4)->Arg(10);
+
+// The backward's input-gradient kernel: XG += M^T G for a [Rows x Cols]
+// weight (a gate's Wh at 100 x 100, a 200-wide input at 100 x 200).
+void BM_MatvecTAcc(benchmark::State &State) {
+  size_t Rows = static_cast<size_t>(State.range(0));
+  size_t Cols = static_cast<size_t>(State.range(1));
+  Rng R(1);
+  Tensor M = Tensor::xavier(Rows, Cols, R);
+  Tensor G = Tensor::uniform(Rows, 1.0f, R);
+  Tensor XG = Tensor::zeros(Cols);
+  for (auto _ : State) {
+    kernels::matvecTAcc(Rows, Cols, M.data(), G.data(), XG.data());
+    benchmark::DoNotOptimize(XG.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() * Rows * Cols);
+}
+BENCHMARK(BM_MatvecTAcc)->Args({100, 100})->Args({100, 200});
+
 // The GEMM substrate: B stacked [4H x H] gate projections as one tiled
 // matmul (Arg(1)) versus the same rows as a per-vector matvecStrided
 // loop (Arg(0)). Outputs are bitwise-identical; the delta is the
@@ -571,7 +614,8 @@ int main(int argc, char **argv) {
   std::vector<std::string> Injected;
   if (KernelsOnly)
     Injected.push_back("--benchmark_filter="
-                       "BM_Kernel|BM_Matmul|BM_GruCell|BM_LstmCell|"
+                       "BM_Kernel|BM_Matmul|BM_Rank1Acc|BM_MatvecTAcc|"
+                       "BM_GruCell|BM_LstmCell|"
                        "BM_MatvecHidden|BM_GruSequence|BM_AttentionScore|"
                        "BM_DecoderStep|BM_LigerForwardBackward");
   if (AttentionOnly)

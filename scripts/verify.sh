@@ -21,7 +21,8 @@
 #      (DESIGN.md §13);
 #   3d. sanitized lockstep training: the threaded batched-epoch
 #      equivalence suites (losses and final weights bitwise-identical
-#      across thread counts) under ASan+UBSan (DESIGN.md §14);
+#      across thread counts) and validation on the training pool under
+#      ASan+UBSan (DESIGN.md §14);
 #   3e. sanitized encoder prefix tries: the LIGER and DYPRO gradchecks
 #      through shared f1/f2 prefix nodes, DYPRO's encode against its
 #      chain-per-state oracle, lossBatch-vs-loss, and the LIGER
@@ -113,7 +114,7 @@ step "sanitized serving: inference equivalence + shared cache + serve smoke (bui
 
 step "sanitized lockstep training: threaded batched-epoch equivalence (build-asan)"
 filtered "$REPO/build-asan/tests/eval_tests" \
-  'TrainingIntegrationTest.LockstepThreadedEpochIsBitwise:TrainingIntegrationTest.ParallelEpochMatchesSerialBitwise'
+  'TrainingIntegrationTest.LockstepThreadedEpochIsBitwise:TrainingIntegrationTest.ParallelEpochMatchesSerialBitwise:TrainingIntegrationTest.PooledValidationMatchesSerial'
 
 step "sanitized encoder prefix tries + empty flattening (build-asan)"
 filtered "$REPO/build-asan/tests/models_tests" \

@@ -11,6 +11,8 @@
 #include "support/Stopwatch.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <memory>
 
@@ -46,6 +48,13 @@ void restoreParams(ParamStore &Store, const std::vector<Tensor> &Snapshot) {
 /// order, scales by 1/B, and steps Adam once. The partition depends
 /// only on B and Shards, never on Threads, so losses, gradients and
 /// final weights are bitwise-identical for any thread count.
+///
+/// Shards are claimed, not dealt: min(S, workers) pool tasks each take
+/// the next unclaimed shard index from an atomic counter until none is
+/// left, so a worker that drew cheap samples picks up the shards a
+/// fixed chunking would have queued behind a slow one. Which thread
+/// builds a shard never affects its result (its own graph, arena
+/// generation and sink), and the reduction order above is unchanged.
 ///
 /// One backward per shard over its summed loss — not one per sample —
 /// is load-bearing: a shard's samples share graph nodes (batched cell
@@ -99,11 +108,16 @@ double runEpoch(const std::vector<MethodSample> &Train, size_t BatchSize,
       backward(sumV(stackScalars(SampleLosses)), Sinks[K]);
       GraphArena::current().reset();
     };
-    if (Pool)
-      Pool->run(S, Work);
-    else
+    if (Pool) {
+      std::atomic<size_t> Next{0};
+      Pool->run(std::clamp<size_t>(Pool->size(), 1, S), [&](size_t) {
+        for (size_t K; (K = Next.fetch_add(1)) < S;)
+          Work(K);
+      });
+    } else {
       for (size_t K = 0; K < S; ++K)
         Work(K);
+    }
 
     for (size_t K = 0; K < S; ++K) {
       Store.accumulateSink(Sinks[K]);
@@ -136,8 +150,8 @@ std::unique_ptr<ThreadPool> makePool(const TrainOptions &Options) {
 /// Shared training driver for both task types: Adam over shuffled
 /// epochs with best-on-validation tracking, optional crash-safe
 /// checkpointing, and resume. \p Validate returns the current
-/// validation score (F1 or accuracy) and is only called when
-/// \p TrackBest.
+/// validation score (F1 or accuracy) given the training pool (null
+/// when serial) and is only called when \p TrackBest.
 ///
 /// Checkpoint/resume correctness: state.ckpt is written atomically at
 /// the end of a checkpointed epoch and captures everything the loop
@@ -205,7 +219,7 @@ TrainResult runTrainingLoop(const BatchLossFn &Loss, size_t Shards,
         runEpoch(Train, Options.BatchSize, Shards, Loss, Store, Opt, R,
                  Pool.get(), Epoch, Options.StepHook);
     if (TrackBest) {
-      double Score = Validate();
+      double Score = Validate(Pool.get());
       if (Score >= Result.BestValidScore) {
         Result.BestValidScore = Score;
         Result.BestEpoch = Epoch;
@@ -250,14 +264,28 @@ TrainResult runTrainingLoop(const BatchLossFn &Loss, size_t Shards,
 } // namespace
 
 PrfScores liger::evaluateNameModel(const NameModelHooks &Hooks,
-                                   const std::vector<MethodSample> &Samples) {
-  SubtokenScorer Scorer;
-  GraphArena Arena;
-  GraphArena::Scope Scope(Arena);
-  for (const MethodSample &Sample : Samples) {
-    Scorer.add(Hooks.Predict(Sample), Sample.NameSubtokens);
-    Arena.reset();
+                                   const std::vector<MethodSample> &Samples,
+                                   ThreadPool *Pool) {
+  // Each prediction lands in its own slot and its graph is dropped
+  // right after (pool workers build on their default arenas, the
+  // serial loop on a scoped one); scoring then runs in sample order,
+  // so the scores do not depend on the pool.
+  std::vector<std::vector<std::string>> Predicted(Samples.size());
+  auto PredictOne = [&](size_t I) {
+    Predicted[I] = Hooks.Predict(Samples[I]);
+    GraphArena::current().reset();
+  };
+  if (Pool) {
+    Pool->run(Samples.size(), PredictOne);
+  } else {
+    GraphArena Arena;
+    GraphArena::Scope Scope(Arena);
+    for (size_t I = 0; I < Samples.size(); ++I)
+      PredictOne(I);
   }
+  SubtokenScorer Scorer;
+  for (size_t I = 0; I < Samples.size(); ++I)
+    Scorer.add(Predicted[I], Samples[I].NameSubtokens);
   return Scorer.scores();
 }
 
@@ -274,7 +302,8 @@ TrainResult liger::trainNameModel(const NameModelHooks &Hooks,
   return runTrainingLoop(
       Hooks.LossBatch ? Hooks.LossBatch : groupOfOne(Hooks.Loss),
       Lockstep ? Options.LockstepShards : Options.BatchSize, *Hooks.Params,
-      Train, TrackBest, [&] { return evaluateNameModel(Hooks, Valid).F1; },
+      Train, TrackBest,
+      [&](ThreadPool *Pool) { return evaluateNameModel(Hooks, Valid, Pool).F1; },
       "valid F1", Options);
 }
 
@@ -306,6 +335,8 @@ TrainResult liger::trainClassifier(const ClassModelHooks &Hooks,
   return runTrainingLoop(
       groupOfOne(Hooks.Loss), Options.BatchSize, *Hooks.Params, Train,
       TrackBest,
-      [&] { return evaluateClassifier(Hooks, Valid, NumClasses).Accuracy; },
+      [&](ThreadPool *) {
+        return evaluateClassifier(Hooks, Valid, NumClasses).Accuracy;
+      },
       "valid acc", Options);
 }

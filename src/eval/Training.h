@@ -23,6 +23,8 @@
 
 namespace liger {
 
+class ThreadPool;
+
 /// Training configuration.
 struct TrainOptions {
   size_t Epochs = 6;
@@ -94,6 +96,8 @@ struct NameModelHooks {
   /// Optional batched variant of Loss; when set, training builds every
   /// shard through it (TrainOptions::BatchedSamples).
   BatchLossFn LossBatch;
+  /// Greedy name prediction. Must be safe to call concurrently: with
+  /// Threads > 1, validation predicts on the training pool.
   std::function<std::vector<std::string>(const MethodSample &)> Predict;
   ParamStore *Params = nullptr;
 };
@@ -115,9 +119,14 @@ struct TrainResult {
   bool Resumed = false;  ///< Whether a state checkpoint was restored.
 };
 
-/// Evaluates a name model on \p Samples.
+/// Evaluates a name model on \p Samples. With a \p Pool the
+/// predictions run on its workers (each on the worker's default graph
+/// arena, which is reset after every sample) and are scored in sample
+/// order, so the scores equal the serial ones bitwise; Predict must
+/// then be safe to call concurrently.
 PrfScores evaluateNameModel(const NameModelHooks &Hooks,
-                            const std::vector<MethodSample> &Samples);
+                            const std::vector<MethodSample> &Samples,
+                            ThreadPool *Pool = nullptr);
 
 /// Trains a name model; restores the best-validation parameters.
 TrainResult trainNameModel(const NameModelHooks &Hooks,

@@ -678,51 +678,55 @@ void gruCellBackward(Node &N) {
                      N.Parents[3]->Value.size(), N.Grad.data(), N.AuxM);
 }
 
+/// H-float rows of per-lane temporaries the fused GRU / LSTM batch
+/// backwards carve from their scratch block, reused by every lane.
+constexpr size_t GruLaneTmpRows = 6;
+constexpr size_t LstmLaneTmpRows = 3;
+
 /// One lane of the fused GRU batch backward: gruCellBackwardOne minus
 /// the shared-parameter updates. Writes the three gate pre-activation
 /// grads (and r ⊙ h, the n gate's Wh operand) into caller-provided
 /// rows so the batch backward can apply every Wx/Bx/Wh region once
 /// with the descending-lane kernels, and applies this sample's ∂x/∂h
-/// in the exact reference within-sample order.
+/// in the exact reference within-sample order. \p Tmp is
+/// GruLaneTmpRows x H floats of scratch.
 void gruCellBackwardLane(const float *WxV, const float *WhV, Node &XN,
                          Node &HN, size_t H, size_t In, const float *G,
                          const float *Aux, float *PZG, float *PRG,
-                         float *PNG, float *RHp) {
+                         float *PNG, float *RHp, float *Tmp) {
   const float *Z = Aux, *R = Aux + H, *Nn = Aux + 2 * H;
   const float *HV = HN.Value.data();
+  // gruCellBackwardOne's six temporaries, as rows of the caller's
+  // GruLaneTmpRows x H scratch (zeroed here where that one zeroes).
+  float *D = Tmp, *ZG = Tmp + H, *DG = Tmp + 2 * H, *DN = Tmp + 3 * H,
+        *RHG = Tmp + 4 * H, *RG = Tmp + 5 * H;
+  std::memset(ZG, 0, 5 * H * sizeof(float));
 
-  Tensor DBuf = Tensor::raw(H);
-  float *__restrict D = DBuf.data();
   for (size_t I = 0; I < H; ++I)
     D[I] = HV[I] - Nn[I];
-  Tensor ZG = Tensor::zeros(H);
-  kernels::mulAcc(H, G, D, ZG.data());
-  Tensor DG = Tensor::zeros(H);
-  kernels::mulAcc(H, G, Z, DG.data());
+  kernels::mulAcc(H, G, D, ZG);
+  kernels::mulAcc(H, G, Z, DG);
   if (HN.RequiresGrad)
-    kernels::addAcc(H, DG.data(), HN.grad().data());
-  Tensor DN = Tensor::zeros(H);
-  kernels::addAcc(H, G, DN.data());
-  kernels::axpy(H, -1.0f, DG.data(), DN.data());
+    kernels::addAcc(H, DG, HN.grad().data());
+  kernels::addAcc(H, G, DN);
+  kernels::axpy(H, -1.0f, DG, DN);
 
   std::memset(PNG, 0, H * sizeof(float));
-  kernels::tanhGradAcc(H, DN.data(), Nn, PNG);
+  kernels::tanhGradAcc(H, DN, Nn, PNG);
   for (size_t I = 0; I < H; ++I)
     RHp[I] = R[I] * HV[I];
-  Tensor RHG = Tensor::zeros(H);
-  kernels::matvecTAcc(H, H, WhV + 2 * H * H, PNG, RHG.data());
-  Tensor RG = Tensor::zeros(H);
-  kernels::mulAcc(H, RHG.data(), HV, RG.data());
+  kernels::matvecTAcc(H, H, WhV + 2 * H * H, PNG, RHG);
+  kernels::mulAcc(H, RHG, HV, RG);
   if (HN.RequiresGrad)
-    kernels::mulAcc(H, RHG.data(), R, HN.grad().data());
+    kernels::mulAcc(H, RHG, R, HN.grad().data());
   if (XN.RequiresGrad)
     kernels::matvecTAcc(H, In, WxV + 2 * H * In, PNG, XN.grad().data());
 
   std::memset(PRG, 0, H * sizeof(float));
-  kernels::sigmoidGradAcc(H, RG.data(), R, PRG);
+  kernels::sigmoidGradAcc(H, RG, R, PRG);
   laneGateBackward(WxV, WhV, XN, HN, H, H, In, PRG);
   std::memset(PZG, 0, H * sizeof(float));
-  kernels::sigmoidGradAcc(H, ZG.data(), Z, PZG);
+  kernels::sigmoidGradAcc(H, ZG, Z, PZG);
   laneGateBackward(WxV, WhV, XN, HN, 0, H, In, PZG);
 }
 
@@ -743,9 +747,9 @@ void gruCellBatchBackward(Node &N) {
   const float *G = N.Grad.data();
   const float *WxV = WxN.Value.data(), *WhV = WhN.Value.data();
 
-  Tensor Scratch = Tensor::raw(4 * B, H);
+  Tensor Scratch = Tensor::raw(4 * B + GruLaneTmpRows, H);
   float *PZG = Scratch.data(), *PRG = PZG + B * H, *PNG = PRG + B * H,
-        *RH = PNG + B * H;
+        *RH = PNG + B * H, *Tmp = RH + B * H;
   std::vector<const float *> Ptrs(3 * B);
   const float **XP = Ptrs.data(), **HP = XP + B, **RP = HP + B;
   for (size_t Bi = B; Bi-- > 0;) {
@@ -756,7 +760,7 @@ void gruCellBatchBackward(Node &N) {
     RP[Bi] = RH + Bi * H;
     gruCellBackwardLane(WxV, WhV, XN, HN, H, In, G + Bi * H,
                         N.AuxM + Bi * 3 * H, PZG + Bi * H, PRG + Bi * H,
-                        PNG + Bi * H, RH + Bi * H);
+                        PNG + Bi * H, RH + Bi * H, Tmp);
   }
   if (WhN.RequiresGrad) {
     float *WhG = WhN.grad().data();
@@ -859,19 +863,21 @@ void lstmCellBatchBackwardH(Node &N) {
 /// the shared-parameter updates. Writes the four gate pre-activation
 /// grads into caller-provided rows (pack order i, f, g, o) and applies
 /// this sample's ∂x/∂h/∂c' in the exact reference within-sample order.
+/// \p Tmp is LstmLaneTmpRows x H floats of scratch.
 void lstmCellBackwardLaneC(const float *WxV, const float *WhV, Node &XN,
                            Node &HN, Node &CPN, size_t H, size_t In,
                            const float *Cg, const float *Aux, float *PI,
-                           float *PF, float *PGg, float *PO) {
+                           float *PF, float *PGg, float *PO, float *Tmp) {
   const float *Ai = Aux, *Af = Aux + H, *Ag = Aux + 2 * H,
               *Ao = Aux + 3 * H, *DO = Aux + 5 * H;
+  // lstmCellBackwardCOne's three zeroed temporaries, as rows of the
+  // caller's LstmLaneTmpRows x H scratch.
+  float *IGr = Tmp, *GG = Tmp + H, *FG = Tmp + 2 * H;
+  std::memset(Tmp, 0, 3 * H * sizeof(float));
 
-  Tensor IGr = Tensor::zeros(H);
-  kernels::mulAcc(H, Cg, Ag, IGr.data());
-  Tensor GG = Tensor::zeros(H);
-  kernels::mulAcc(H, Cg, Ai, GG.data());
-  Tensor FG = Tensor::zeros(H);
-  kernels::mulAcc(H, Cg, CPN.Value.data(), FG.data());
+  kernels::mulAcc(H, Cg, Ag, IGr);
+  kernels::mulAcc(H, Cg, Ai, GG);
+  kernels::mulAcc(H, Cg, CPN.Value.data(), FG);
   if (CPN.RequiresGrad)
     kernels::mulAcc(H, Cg, Af, CPN.grad().data());
 
@@ -881,13 +887,13 @@ void lstmCellBackwardLaneC(const float *WxV, const float *WhV, Node &XN,
   kernels::sigmoidGradAcc(H, DO, Ao, PO);
   laneGateBackward(WxV, WhV, XN, HN, 3 * H, H, In, PO);
   std::memset(PGg, 0, H * sizeof(float));
-  kernels::tanhGradAcc(H, GG.data(), Ag, PGg);
+  kernels::tanhGradAcc(H, GG, Ag, PGg);
   laneGateBackward(WxV, WhV, XN, HN, 2 * H, H, In, PGg);
   std::memset(PF, 0, H * sizeof(float));
-  kernels::sigmoidGradAcc(H, FG.data(), Af, PF);
+  kernels::sigmoidGradAcc(H, FG, Af, PF);
   laneGateBackward(WxV, WhV, XN, HN, H, H, In, PF);
   std::memset(PI, 0, H * sizeof(float));
-  kernels::sigmoidGradAcc(H, IGr.data(), Ai, PI);
+  kernels::sigmoidGradAcc(H, IGr, Ai, PI);
   laneGateBackward(WxV, WhV, XN, HN, 0, H, In, PI);
 }
 
@@ -904,9 +910,9 @@ void lstmCellBatchBackwardC(Node &N) {
   const float *G = N.Grad.data();
   const float *WxV = WxN.Value.data(), *WhV = WhN.Value.data();
 
-  Tensor Scratch = Tensor::raw(4 * B, H);
+  Tensor Scratch = Tensor::raw(4 * B + LstmLaneTmpRows, H);
   float *PI = Scratch.data(), *PF = PI + B * H, *PGg = PF + B * H,
-        *PO = PGg + B * H;
+        *PO = PGg + B * H, *Tmp = PO + B * H;
   std::vector<const float *> Ptrs(2 * B);
   const float **XP = Ptrs.data(), **HP = XP + B;
   for (size_t Bi = B; Bi-- > 0;) {
@@ -916,7 +922,7 @@ void lstmCellBatchBackwardC(Node &N) {
     HP[Bi] = HN.Value.data();
     lstmCellBackwardLaneC(WxV, WhV, XN, HN, *N.Parents[3 + 2 * B + Bi], H,
                           In, G + Bi * H, N.AuxM + Bi * 6 * H, PI + Bi * H,
-                          PF + Bi * H, PGg + Bi * H, PO + Bi * H);
+                          PF + Bi * H, PGg + Bi * H, PO + Bi * H, Tmp);
   }
   const float *Gates[4] = {PI, PF, PGg, PO};
   if (WhN.RequiresGrad) {
@@ -1381,20 +1387,25 @@ void attentionKeyProjBackward(Node &N) {
   // Per-key chains, last key first (descending creation order): the
   // add hands b1 its row grad, then the matvec splits between the
   // key-side weight band (staged, like the reference's colsView copy)
-  // and the key itself.
-  Tensor WkStage = Tensor::zeros(H, K);
+  // and the key itself. The staged band takes every key's rank-1 term
+  // in one descending-lane pass after the loop: per element the same
+  // chain as T rank1Acc calls, last key first.
+  std::vector<const float *> Keys(T);
   for (size_t TI = T; TI-- > 0;) {
     const float *GRow = G + TI * H;
     Node &KeyN = *N.Parents[2 + TI];
+    Keys[TI] = KeyN.Value.data();
     if (B1N.RequiresGrad)
       kernels::addAcc(H, GRow, B1N.grad().data());
-    kernels::rank1Acc(H, K, GRow, KeyN.Value.data(), WkStage.data());
     if (KeyN.RequiresGrad)
       kernels::matvecTAccStrided(H, K, W1Cols, W1V, GRow,
                                  KeyN.grad().data());
   }
-  if (W1N.RequiresGrad)
+  if (W1N.RequiresGrad) {
+    Tensor WkStage = Tensor::zeros(H, K);
+    kernels::rank1AccBatchDesc(T, H, K, G, H, Keys.data(), WkStage.data());
     kernels::addAcc2d(H, K, WkStage.data(), K, W1N.grad().data(), W1Cols);
+  }
 }
 
 /// One query's attention backward over the shared key memory; the

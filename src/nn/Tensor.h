@@ -277,6 +277,15 @@ private:
 /// [R x C] block multiplied row-by-row and the same rows computed via
 /// matvecN are bitwise-identical. The fused/unfused cell equivalence
 /// test (NnTests.cpp, FusedEquivalenceTest) leans on this.
+///
+/// The accumulating gradient kernels (rank1Acc, rank1AccBatchDesc,
+/// matvecTAcc*, matmulTAcc) each document one chain per output
+/// element: the starting value, then one rounded product per term in a
+/// fixed order. Register tiling may change which elements are computed
+/// together, never the order of one element's terms, so a tiled kernel
+/// and the plain loop it replaces agree bit for bit
+/// (BatchedKernelEquivalenceTest.GradKernelsKeepScalarChain checks them
+/// against loops written in the test).
 namespace kernels {
 
 /// Pins \p P (a float or vector of floats) into a register so the
@@ -521,40 +530,167 @@ inline void matmul(size_t B, size_t Rows, size_t Cols,
     matvecStrided(Rows, Cols, MStride, M, X + Bi * XStride, Y + Bi * YStride);
 }
 
+/// Fully unrolls a loop with a small constant trip count (a register
+/// tile's row and chunk loops), so the tile's accumulator array stays in
+/// registers at -O2 (RelWithDebInfo) as well as at -O3; left rolled,
+/// the array lives on the stack and every term is a load and a store.
+#if defined(__GNUC__)
+#define LIGER_UNROLL _Pragma("GCC unroll 16")
+#else
+#define LIGER_UNROLL
+#endif
+
+/// Mask enabling the first \p N (1..8) lanes of an 8-float chunk: the
+/// column remainder of the tiled accumulating kernels loads and stores
+/// through it instead of running a scalar tail.
+inline __m256i chunkMask(size_t N) {
+  alignas(32) static const int32_t Lanes[16] = {-1, -1, -1, -1, -1, -1,
+                                                -1, -1, 0,  0,  0,  0,
+                                                0,  0,  0,  0};
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Lanes + 8 - N));
+}
+
+template <bool Masked>
+inline __m256 loadChunk(const float *P, __m256i Mask) {
+  return Masked ? _mm256_maskload_ps(P, Mask) : _mm256_loadu_ps(P);
+}
+
+template <bool Masked>
+inline void storeChunk(float *P, __m256i Mask, __m256 V) {
+  if (Masked)
+    _mm256_maskstore_ps(P, Mask, V);
+  else
+    _mm256_storeu_ps(P, V);
+}
+
+/// Acc + fl(A * X): one term of an accumulation chain, the product
+/// rounded before the add (pinned, never an FMA — see axpy).
+inline __m256 addProduct(__m256 Acc, float A, __m256 X) {
+  __m256 P = _mm256_mul_ps(_mm256_set1_ps(A), X);
+  LIGER_BLOCK_CONTRACT(P);
+  return _mm256_add_ps(Acc, P);
+}
+
+/// One register tile of rank1AccBatchDesc: \p NR gradient rows from
+/// \p M0 over \p NC 8-float chunks from column \p I (loaded and stored
+/// through \p Mask when \p Tail), lanes descending inside the tile.
+template <size_t NR, size_t NC, bool Tail>
+inline void rank1TileDesc(size_t B, size_t Cols, const float *__restrict PG,
+                          size_t PGStride, const float *const *X, size_t I,
+                          float *__restrict M0, __m256i Mask) {
+  __m256 A[NR][NC];
+  LIGER_UNROLL
+  for (size_t R = 0; R < NR; ++R)
+    LIGER_UNROLL
+    for (size_t C = 0; C < NC; ++C)
+      A[R][C] = loadChunk<Tail>(M0 + R * Cols + I + 8 * C, Mask);
+  for (size_t Bi = B; Bi-- > 0;) {
+    const float *GB = PG + Bi * PGStride;
+    __m256 XV[NC];
+    LIGER_UNROLL
+    for (size_t C = 0; C < NC; ++C)
+      XV[C] = loadChunk<Tail>(X[Bi] + I + 8 * C, Mask);
+    LIGER_UNROLL
+    for (size_t R = 0; R < NR; ++R)
+      LIGER_UNROLL
+      for (size_t C = 0; C < NC; ++C)
+        A[R][C] = addProduct(A[R][C], GB[R], XV[C]);
+  }
+  LIGER_UNROLL
+  for (size_t R = 0; R < NR; ++R)
+    LIGER_UNROLL
+    for (size_t C = 0; C < NC; ++C)
+      storeChunk<Tail>(M0 + R * Cols + I + 8 * C, Mask, A[R][C]);
+}
+
+/// rank1AccBatchDesc over the \p NR gradient rows from \p M0 (their
+/// lane grads from \p PG): 16-column tiles, then 8-column tiles for
+/// the remaining columns, the last one masked.
+template <size_t NR>
+inline void rank1RowsDesc(size_t B, size_t Cols, const float *__restrict PG,
+                          size_t PGStride, const float *const *X,
+                          float *__restrict M0) {
+  size_t I = 0;
+  for (; I + 16 <= Cols; I += 16)
+    rank1TileDesc<NR, 2, false>(B, Cols, PG, PGStride, X, I, M0,
+                                chunkMask(8));
+  for (; I < Cols; I += 8)
+    rank1TileDesc<NR, 1, true>(B, Cols, PG, PGStride, X, I, M0,
+                               chunkMask(Cols - I < 8 ? Cols - I : 8));
+}
+
 /// Shared-parameter rank-1 accumulation over a batch in DESCENDING
 /// sample order: MG[r][c] += PG[b * PGStride + r] * X[b][c] for
-/// b = B-1..0, with the same round-the-product-then-add pair axpy
-/// performs (contraction blocked). Each gradient element's addition
-/// chain is therefore bitwise-identical to B rank1Acc calls replayed
-/// in descending sample order — but the gradient matrix is walked
-/// once instead of once per sample.
+/// b = B-1..0, each product rounded before its add (contraction
+/// blocked, as in axpy). Each gradient element's addition chain is
+/// therefore bitwise-identical to B rank1Acc calls replayed in
+/// descending sample order — but the gradient matrix is walked once
+/// instead of once per sample.
+///
+/// Register-tiled: a 4-row x 16-column block of MG stays in registers
+/// while every lane adds its terms (the column remainder masked, rows
+/// past the last 4-row block one at a time), so each gradient element
+/// is loaded and stored once, not once per lane. A tile changes which
+/// elements are computed together, never the order of one element's
+/// terms.
 inline void rank1AccBatchDesc(size_t B, size_t Rows, size_t Cols,
                               const float *__restrict PG, size_t PGStride,
                               const float *const *X,
                               float *__restrict MG) {
+  size_t R = 0;
+  for (; R + 4 <= Rows; R += 4)
+    rank1RowsDesc<4>(B, Cols, PG + R, PGStride, X, MG + R * Cols);
+  for (; R < Rows; ++R)
+    rank1RowsDesc<1>(B, Cols, PG + R, PGStride, X, MG + R * Cols);
+}
+
+/// MG[r][c] += G[r] * X[c] (outer-product gradient of matvec wrt M):
+/// rank1AccBatchDesc with one lane, so it shares that register tile.
+inline void rank1Acc(size_t Rows, size_t Cols, const float *__restrict G,
+                     const float *__restrict X, float *__restrict MG) {
+  const float *Lane = X;
+  rank1AccBatchDesc(1, Rows, Cols, G, Rows, &Lane, MG);
+}
+
+/// One register tile of matvecTAccStrided: \p NC 8-float chunks of XG
+/// from column \p I (loaded and stored through \p Mask when \p Tail),
+/// held across every row of M, rows ascending.
+template <size_t NC, bool Tail>
+inline void matvecTTile(size_t Rows, size_t RowStride,
+                        const float *__restrict M, const float *__restrict G,
+                        size_t I, float *__restrict XG, __m256i Mask) {
+  __m256 A[NC];
+  LIGER_UNROLL
+  for (size_t C = 0; C < NC; ++C)
+    A[C] = loadChunk<Tail>(XG + I + 8 * C, Mask);
   for (size_t R = 0; R < Rows; ++R) {
-    float *M = MG + R * Cols;
-    size_t I = 0;
-    for (; I + 8 <= Cols; I += 8) {
-      __m256 Acc = _mm256_loadu_ps(M + I);
-      for (size_t Bi = B; Bi-- > 0;) {
-        __m256 VA = _mm256_set1_ps(PG[Bi * PGStride + R]);
-        __m256 P = _mm256_mul_ps(VA, _mm256_loadu_ps(X[Bi] + I));
-        LIGER_BLOCK_CONTRACT(P);
-        Acc = _mm256_add_ps(Acc, P);
-      }
-      _mm256_storeu_ps(M + I, Acc);
-    }
-    for (; I < Cols; ++I) {
-      float Acc = M[I];
-      for (size_t Bi = B; Bi-- > 0;) {
-        float P = PG[Bi * PGStride + R] * X[Bi][I];
-        LIGER_BLOCK_CONTRACT(P);
-        Acc += P;
-      }
-      M[I] = Acc;
-    }
+    const float *MR = M + R * RowStride + I;
+    LIGER_UNROLL
+    for (size_t C = 0; C < NC; ++C)
+      A[C] = addProduct(A[C], G[R], loadChunk<Tail>(MR + 8 * C, Mask));
   }
+  LIGER_UNROLL
+  for (size_t C = 0; C < NC; ++C)
+    storeChunk<Tail>(XG + I + 8 * C, Mask, A[C]);
+}
+
+/// XG[c] += Σ_r G[r] * M[r][c] where M is a [Rows x Cols] band with
+/// rows \p RowStride apart (gradient of matvecStrided wrt x). Each
+/// element's chain is XG + fl(G[0] M[0][c]) + ... + fl(G[Rows-1]
+/// M[Rows-1][c]), rows ascending — Rows axpy calls, bit for bit. A
+/// 32-float block of XG stays in registers across all rows (the
+/// remaining columns 8 at a time, the last chunk masked), so XG is
+/// loaded and stored once per block instead of once per row.
+inline void matvecTAccStrided(size_t Rows, size_t Cols, size_t RowStride,
+                              const float *__restrict M,
+                              const float *__restrict G,
+                              float *__restrict XG) {
+  size_t I = 0;
+  for (; I + 32 <= Cols; I += 32)
+    matvecTTile<4, false>(Rows, RowStride, M, G, I, XG, chunkMask(8));
+  for (; I < Cols; I += 8)
+    matvecTTile<1, true>(Rows, RowStride, M, G, I, XG,
+                         chunkMask(Cols - I < 8 ? Cols - I : 8));
 }
 
 /// Bias accumulation over a batch in descending sample order:
@@ -668,6 +804,24 @@ inline void rank1AccBatchDesc(size_t B, size_t Rows, size_t Cols,
   }
 }
 
+/// MG[r][c] += G[r] * X[c] (outer-product gradient of matvec wrt M).
+inline void rank1Acc(size_t Rows, size_t Cols, const float *__restrict G,
+                     const float *__restrict X, float *__restrict MG) {
+  for (size_t R = 0; R < Rows; ++R)
+    axpy(Cols, G[R], X, MG + R * Cols);
+}
+
+/// XG[c] += Σ_r G[r] * M[r][c] where M is a [Rows x Cols] band with
+/// rows \p RowStride apart (gradient of matvecStrided wrt x): one axpy
+/// per row, rows ascending (the chain the AVX2 tile keeps).
+inline void matvecTAccStrided(size_t Rows, size_t Cols, size_t RowStride,
+                              const float *__restrict M,
+                              const float *__restrict G,
+                              float *__restrict XG) {
+  for (size_t R = 0; R < Rows; ++R)
+    axpy(Cols, G[R], M + R * RowStride, XG);
+}
+
 /// Scalar bias batch accumulation, descending sample order (see the
 /// AVX2 variant).
 inline void addAccBatchDesc(size_t B, size_t N, const float *__restrict PG,
@@ -694,25 +848,6 @@ inline void matvecN(size_t K, size_t Rows, size_t Cols,
   matvec(K * Rows, Cols, M, X, Y);
 }
 
-/// MG[r][c] += G[r] * X[c] (outer-product gradient of matvec wrt M).
-inline void rank1Acc(size_t Rows, size_t Cols, const float *__restrict G,
-                     const float *__restrict X, float *__restrict MG) {
-  for (size_t R = 0; R < Rows; ++R)
-    axpy(Cols, G[R], X, MG + R * Cols);
-}
-
-/// XG[c] += Σ_r G[r] * M[r][c] where M is a [Rows x Cols] band with
-/// rows \p RowStride apart (gradient of matvecStrided wrt x). Row
-/// order and per-row axpy match matvecTAcc on a dense copy of the
-/// band, bit for bit.
-inline void matvecTAccStrided(size_t Rows, size_t Cols, size_t RowStride,
-                              const float *__restrict M,
-                              const float *__restrict G,
-                              float *__restrict XG) {
-  for (size_t R = 0; R < Rows; ++R)
-    axpy(Cols, G[R], M + R * RowStride, XG);
-}
-
 /// XG[c] += Σ_r G[r] * M[r][c] (gradient of matvec wrt x).
 inline void matvecTAcc(size_t Rows, size_t Cols, const float *__restrict M,
                        const float *__restrict G, float *__restrict XG) {
@@ -722,8 +857,8 @@ inline void matvecTAcc(size_t Rows, size_t Cols, const float *__restrict M,
 /// XG_b += M^T G_b for B gradient rows (strides as in matmul) — the
 /// input-side backward of matmul. Per-vector it is exactly
 /// matvecTAccStrided, so batched and per-sample backward replays
-/// accumulate identically; the axpy row order inside each vector is
-/// the shared bitwise contract.
+/// accumulate identically; the ascending row order of each element's
+/// chain is the shared bitwise contract.
 inline void matmulTAcc(size_t B, size_t Rows, size_t Cols,
                        const float *__restrict M, size_t MStride,
                        const float *__restrict G, size_t GStride,

@@ -13,10 +13,13 @@
 /// creation.
 ///
 /// Static contiguous partitioning (rather than work stealing) keeps
-/// the mapping of task index to thread deterministic, which the
-/// trainer relies on for reproducible thread-local arena reuse; result
-/// determinism itself comes from the caller reducing per-index outputs
-/// in index order.
+/// the mapping of task index to thread deterministic: neighbouring
+/// tasks run one after the other on one worker, so a serving batch
+/// that repeats a request finds the first copy's traces in the cache.
+/// Result determinism itself comes from the caller reducing per-index
+/// outputs in index order. A caller that wants load balance instead
+/// (the trainer's shards) runs one task per worker and has each claim
+/// work items from a shared atomic counter.
 ///
 /// Fn must not throw (the codebase reports fatal errors via
 /// LIGER_CHECK, which aborts).

@@ -12,6 +12,7 @@
 
 #include "nn/Module.h"
 #include "support/BinaryIO.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -317,6 +318,47 @@ TEST(TrainingIntegrationTest, ParallelEpochMatchesSerialBitwise) {
     ASSERT_EQ(SerialParams.size(), ParallelParams.size());
     for (size_t I = 0; I < SerialParams.size(); ++I)
       EXPECT_EQ(SerialParams[I], ParallelParams[I]) << "parameter " << I;
+  }
+}
+
+TEST(TrainingIntegrationTest, PooledValidationMatchesSerial) {
+  // With Threads > 1 the per-epoch validation predicts on the training
+  // pool; the scores must be the serial loop's bit for bit, for pools
+  // that split the samples evenly and unevenly.
+  ExperimentScale Scale;
+  Scale.MethodsMed = 60;
+  Scale.Epochs = 8;
+  Scale.Hidden = 16;
+  Scale.EmbedDim = 16;
+  Scale.TargetPaths = 4;
+  Scale.ExecutionsPerPath = 3;
+  Scale.LearningRate = 1e-2f;
+  Scale.Seed = 3;
+
+  NameTask Task = buildNameTask(Scale, false);
+  ASSERT_GE(Task.Split.Train.size(), 10u);
+  LigerConfig Config;
+  Config.EmbedDim = Scale.EmbedDim;
+  Config.Hidden = Scale.Hidden;
+  Config.AttnHidden = Scale.Hidden;
+  LigerNamePredictor Net(Task.Joint, Task.Target, Config, Scale.Seed);
+  NameModelHooks Hooks;
+  Hooks.Loss = [&](const MethodSample &S) { return Net.loss(S); };
+  Hooks.Predict = [&](const MethodSample &S) { return Net.predict(S); };
+  Hooks.Params = &Net.params();
+  TrainOptions Options = Scale.trainOptions();
+  Options.SelectBestOnValidation = false;
+  trainNameModel(Hooks, Task.Split.Train, {}, Options);
+
+  PrfScores Serial = evaluateNameModel(Hooks, Task.Split.Train);
+  ASSERT_GT(Serial.F1, 0.0)
+      << "the comparison needs a model that predicts some sub-tokens";
+  for (size_t Workers : {size_t(2), size_t(3)}) {
+    ThreadPool Pool(Workers);
+    PrfScores Pooled = evaluateNameModel(Hooks, Task.Split.Train, &Pool);
+    EXPECT_EQ(Pooled.Precision, Serial.Precision) << Workers << " workers";
+    EXPECT_EQ(Pooled.Recall, Serial.Recall) << Workers << " workers";
+    EXPECT_EQ(Pooled.F1, Serial.F1) << Workers << " workers";
   }
 }
 

@@ -1658,6 +1658,126 @@ TEST(BatchedKernelEquivalenceTest, MatmulTAccMatchesMatvecTAcc) {
   }
 }
 
+namespace {
+
+std::vector<float> uniformFloats(size_t N, Rng &R) {
+  std::vector<float> V(N);
+  for (float &F : V)
+    F = R.nextFloat(-1.0f, 1.0f);
+  return V;
+}
+
+/// acc + fl(A * X): one term of the documented accumulation chain,
+/// with the product rounded before the add exactly as the kernels pin it.
+float addPinnedProduct(float Acc, float A, float X) {
+  float P = A * X;
+  LIGER_BLOCK_CONTRACT(P);
+  return Acc + P;
+}
+
+} // namespace
+
+TEST(BatchedKernelEquivalenceTest, GradKernelsKeepScalarChain) {
+  // The accumulating gradient kernels against plain loops written here,
+  // not against other kernels: a kernel that reorders one element's
+  // terms (or drops the product rounding) fails even where the oracle
+  // graphs, which call the same kernels, would still agree with it.
+  // Documented chains, every accumulator starting nonzero:
+  //   rank1AccBatchDesc: MG[r][c] = MG + p_{B-1} + ... + p_0,
+  //                      p_b = fl(PG[b][r] * X_b[c]);
+  //   rank1Acc:          MG[r][c] = MG + fl(G[r] * X[c]);
+  //   matvecTAccStrided: XG[c] = XG + q_0 + ... + q_{Rows-1},
+  //                      q_r = fl(G[r] * M[r][c]);
+  //   matmulTAcc:        that chain per gradient row.
+  // The shapes walk every tile edge: row counts around the 4-row tile,
+  // column counts around the 8/16/32-float chunks, 1..10 lanes.
+  Rng R(79);
+  for (size_t Rows : {1u, 3u, 4u, 5u, 7u, 100u}) {
+    for (size_t Cols :
+         {1u, 3u, 4u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 100u}) {
+      std::vector<float> MG0 = uniformFloats(Rows * Cols, R);
+      for (size_t B : {1u, 2u, 3u, 10u}) {
+        const size_t PGStride = Rows + 2;
+        std::vector<float> PG = uniformFloats(B * PGStride, R);
+        std::vector<std::vector<float>> Xs;
+        std::vector<const float *> XP;
+        for (size_t Bi = 0; Bi < B; ++Bi)
+          Xs.push_back(uniformFloats(Cols, R));
+        for (const std::vector<float> &X : Xs)
+          XP.push_back(X.data());
+
+        std::vector<float> Got = MG0, Want = MG0;
+        kernels::rank1AccBatchDesc(B, Rows, Cols, PG.data(), PGStride,
+                                   XP.data(), Got.data());
+        for (size_t Row = 0; Row < Rows; ++Row)
+          for (size_t C = 0; C < Cols; ++C) {
+            float Acc = Want[Row * Cols + C];
+            for (size_t Bi = B; Bi-- > 0;)
+              Acc = addPinnedProduct(Acc, PG[Bi * PGStride + Row], Xs[Bi][C]);
+            Want[Row * Cols + C] = Acc;
+          }
+        EXPECT_EQ(std::memcmp(Got.data(), Want.data(),
+                              Rows * Cols * sizeof(float)),
+                  0)
+            << "rank1AccBatchDesc Rows=" << Rows << " Cols=" << Cols
+            << " B=" << B;
+      }
+
+      std::vector<float> G = uniformFloats(Rows, R);
+      std::vector<float> X = uniformFloats(Cols, R);
+      std::vector<float> Got = MG0, Want = MG0;
+      kernels::rank1Acc(Rows, Cols, G.data(), X.data(), Got.data());
+      for (size_t Row = 0; Row < Rows; ++Row)
+        for (size_t C = 0; C < Cols; ++C)
+          Want[Row * Cols + C] =
+              addPinnedProduct(Want[Row * Cols + C], G[Row], X[C]);
+      EXPECT_EQ(
+          std::memcmp(Got.data(), Want.data(), Rows * Cols * sizeof(float)),
+          0)
+          << "rank1Acc Rows=" << Rows << " Cols=" << Cols;
+
+      // A band of a wider matrix (rows Cols + 5 floats apart), as the
+      // attention backward reads W1's key and query halves.
+      for (size_t RowStride : {Cols, Cols + 5}) {
+        std::vector<float> M = uniformFloats(Rows * RowStride, R);
+        for (size_t B : {1u, 3u}) {
+          const size_t GStride = Rows + 1, XGStride = Cols + 3;
+          std::vector<float> GB = uniformFloats(B * GStride, R);
+          std::vector<float> XG0 = uniformFloats(B * XGStride, R);
+          std::vector<float> Want = XG0;
+          for (size_t Bi = 0; Bi < B; ++Bi)
+            for (size_t C = 0; C < Cols; ++C) {
+              float Acc = Want[Bi * XGStride + C];
+              for (size_t Row = 0; Row < Rows; ++Row)
+                Acc = addPinnedProduct(Acc, GB[Bi * GStride + Row],
+                                       M[Row * RowStride + C]);
+              Want[Bi * XGStride + C] = Acc;
+            }
+          std::vector<float> Got = XG0;
+          kernels::matmulTAcc(B, Rows, Cols, M.data(), RowStride, GB.data(),
+                              GStride, Got.data(), XGStride);
+          EXPECT_EQ(std::memcmp(Got.data(), Want.data(),
+                                B * XGStride * sizeof(float)),
+                    0)
+              << "matmulTAcc Rows=" << Rows << " Cols=" << Cols
+              << " RowStride=" << RowStride << " B=" << B;
+          Got = XG0;
+          kernels::matvecTAccStrided(Rows, Cols, RowStride, M.data(),
+                                     GB.data(), Got.data());
+          EXPECT_EQ(
+              std::memcmp(Got.data(), Want.data(), Cols * sizeof(float)), 0)
+              << "matvecTAccStrided Rows=" << Rows << " Cols=" << Cols
+              << " RowStride=" << RowStride;
+          // The padding between gradient rows stays untouched.
+          EXPECT_EQ(std::memcmp(Got.data() + Cols, XG0.data() + Cols,
+                                (B * XGStride - Cols) * sizeof(float)),
+                    0);
+        }
+      }
+    }
+  }
+}
+
 TEST(BatchedKernelEquivalenceTest, GruStepIsBitwiseAtB1) {
   expectCellStepBitwise(CellKind::Gru, 1);
 }
